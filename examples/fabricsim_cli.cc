@@ -8,10 +8,12 @@
 //                 [--block-size=N] [--rate=TPS] [--duration-s=S]
 //                 [--skew=Z] [--orgs=N] [--policy=TEXT] [--seed=N]
 //                 [--reps=N] [--csv]
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "src/common/strings.h"
 #include "src/core/recommendations.h"
 #include "src/core/runner.h"
 
@@ -24,6 +26,37 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   if (std::strncmp(arg, prefix.c_str(), prefix.size()) != 0) return false;
   *value = arg + prefix.size();
   return true;
+}
+
+/// Parses `value` as an integer in [min, max] into `out`; the error
+/// names `flag`.
+template <typename T>
+Status ParseIntFlag(const std::string& flag, const std::string& value,
+                    uint64_t min, uint64_t max, T* out) {
+  Result<uint64_t> n = ParseUint64(flag, value);
+  if (!n.ok()) return n.status();
+  if (n.value() < min || n.value() > max) {
+    return Status::InvalidArgument(flag + " must be in [" +
+                                   std::to_string(min) + ", " +
+                                   std::to_string(max) + "], got " + value);
+  }
+  *out = static_cast<T>(n.value());
+  return Status::OK();
+}
+
+/// Parses `value` as a number that is >= min (> min when `exclusive`)
+/// into `out`; the error names `flag`.
+Status ParseRealFlag(const std::string& flag, const std::string& value,
+                     double min, bool exclusive, double* out) {
+  Result<double> x = ParseDouble(flag, value);
+  if (!x.ok()) return x.status();
+  if (exclusive ? x.value() <= min : x.value() < min) {
+    return Status::InvalidArgument(flag + " must be " +
+                                   (exclusive ? "> " : ">= ") +
+                                   StrFormat("%g", min) + ", got " + value);
+  }
+  *out = x.value();
+  return Status::OK();
 }
 
 int Usage(const char* argv0) {
@@ -45,6 +78,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    Status st;
     if (ParseFlag(argv[i], "variant", &value)) {
       if (value == "fabric14") {
         config.fabric.variant = FabricVariant::kFabric14;
@@ -92,25 +126,36 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (ParseFlag(argv[i], "block-size", &value)) {
-      config.fabric.block_size = static_cast<uint32_t>(std::stoul(value));
+      st = ParseIntFlag("--block-size", value, 1, UINT32_MAX,
+                        &config.fabric.block_size);
     } else if (ParseFlag(argv[i], "rate", &value)) {
-      config.arrival_rate_tps = std::stod(value);
+      st = ParseRealFlag("--rate", value, 0, /*exclusive=*/true,
+                         &config.arrival_rate_tps);
     } else if (ParseFlag(argv[i], "duration-s", &value)) {
-      config.duration = FromSeconds(std::stod(value));
+      double seconds = 0;
+      st = ParseRealFlag("--duration-s", value, 0, /*exclusive=*/true,
+                         &seconds);
+      config.duration = FromSeconds(seconds);
     } else if (ParseFlag(argv[i], "skew", &value)) {
-      config.workload.zipf_skew = std::stod(value);
+      st = ParseRealFlag("--skew", value, 0, /*exclusive=*/false,
+                         &config.workload.zipf_skew);
     } else if (ParseFlag(argv[i], "orgs", &value)) {
-      config.fabric.cluster.num_orgs = std::stoi(value);
+      st = ParseIntFlag("--orgs", value, 1, INT32_MAX,
+                        &config.fabric.cluster.num_orgs);
     } else if (ParseFlag(argv[i], "policy", &value)) {
       config.fabric.policy_text = value;
     } else if (ParseFlag(argv[i], "seed", &value)) {
-      config.base_seed = std::stoull(value);
+      st = ParseIntFlag("--seed", value, 0, UINT64_MAX, &config.base_seed);
     } else if (ParseFlag(argv[i], "reps", &value)) {
-      config.repetitions = std::stoi(value);
+      st = ParseIntFlag("--reps", value, 1, INT32_MAX, &config.repetitions);
     } else if (std::strcmp(argv[i], "--csv") == 0) {
       csv = true;
     } else {
       return Usage(argv[0]);
+    }
+    if (!st.ok()) {
+      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+      return 2;
     }
   }
 

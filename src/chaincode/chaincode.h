@@ -20,7 +20,7 @@ struct Invocation {
 /// Base class for smart contracts ("chaincode" in Fabric jargon).
 /// Implementations must be deterministic functions of (stub, inv):
 /// every endorsing peer runs the same invocation against its own
-/// world-state replica.
+/// view of the world state.
 class Chaincode {
  public:
   virtual ~Chaincode() = default;
@@ -28,7 +28,7 @@ class Chaincode {
   /// Chaincode name as installed on the channel.
   virtual std::string name() const = 0;
 
-  /// World-state bootstrap entries, applied to every peer's replica
+  /// World-state bootstrap entries, applied to each channel's state
   /// at version (0,0) before the run starts (the paper's "initially
   /// populate the world state").
   virtual std::vector<WriteItem> BootstrapState() const = 0;

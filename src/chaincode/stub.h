@@ -26,7 +26,7 @@ namespace fabricsim {
 ///    re-validated — no phantom detection, like the real shim.
 class ChaincodeStub {
  public:
-  /// `db` is the endorsing peer's world-state replica;
+  /// `db` is the endorsing peer's view of the world state;
   /// `rich_queries_supported` reflects the configured database type.
   ChaincodeStub(const StateDatabase& db, bool rich_queries_supported);
 

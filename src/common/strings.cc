@@ -1,7 +1,11 @@
 #include "src/common/strings.h"
 
+#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace fabricsim {
 
@@ -55,6 +59,29 @@ namespace {
 constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
 }  // namespace
+
+Result<uint64_t> ParseUint64(const std::string& what, const std::string& text) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument(what + ": '" + text +
+                                   "' is not a non-negative integer");
+  }
+  return value;
+}
+
+Result<double> ParseDouble(const std::string& what, const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() || errno != 0 ||
+      !std::isfinite(value)) {
+    return Status::InvalidArgument(what + ": '" + text +
+                                   "' is not a finite number");
+  }
+  return value;
+}
 
 uint64_t Fnv1a(const std::string& data) {
   return Fnv1aCombine(kFnvOffset, data);

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
+
 namespace fabricsim {
 
 /// printf-style formatting into a std::string.
@@ -21,6 +23,14 @@ std::string StrTrim(const std::string& s);
 /// Fabric range queries compare keys lexicographically, so all numeric
 /// keys in the chaincodes use fixed-width encoding.
 std::string PadKey(uint64_t value, int width);
+
+/// Parses all of `text` as a decimal unsigned integer. Errors are
+/// InvalidArgument and name `what` (e.g. the command-line flag).
+Result<uint64_t> ParseUint64(const std::string& what, const std::string& text);
+
+/// Parses all of `text` as a finite floating-point number. Errors are
+/// InvalidArgument and name `what`.
+Result<double> ParseDouble(const std::string& what, const std::string& text);
 
 /// FNV-1a 64-bit hash, used for read/write-set digests.
 uint64_t Fnv1a(const std::string& data);

@@ -146,12 +146,21 @@ Status FabricNetwork::Init() {
       config_.variant == FabricVariant::kStreamchain
           ? StreamchainModel::kValidationCostFactor
           : 1.0;
-  validation_cache_ =
-      std::make_unique<ValidationOutcomeCache>(cluster.total_peers());
+  // --- World state: one versioned store per channel --------------------
+  // Bootstrapped once; every peer reads it through its own height
+  // cursors instead of holding a replica.
+  for (int c = 0; c < num_channels; ++c) {
+    auto store = std::make_unique<VersionedStateStore>(config_.state_backend);
+    FABRICSIM_RETURN_NOT_OK(
+        store->Bootstrap(chaincode_for(c)->BootstrapState()));
+    stores_.push_back(std::move(store));
+  }
+  std::vector<VersionedStateStore*> stores;
+  for (const auto& store : stores_) stores.push_back(store.get());
   if (env_->executor().mode() == ExecutionMode::kThreaded) {
     // Threaded execution: per-channel pipelines validate each cut
     // block on worker threads ahead of the virtual clock; the first
-    // peer to need the outcome joins it through the cache's compute
+    // peer to need the outcome joins it through the store's validation
     // hook. Pure wall-clock optimization — results stay bitwise
     // identical to serial mode.
     CommitPipelines::Params cp;
@@ -180,12 +189,11 @@ Status FabricNetwork::Init() {
       params.node = node;
       params.env = env_;
       params.net = net_.get();
-      params.num_channels = num_channels;
+      params.stores = stores;
       params.chaincode = chaincode_.get();
       params.channel_chaincodes = channel_chaincodes;
       params.policy = *policy_;
       params.db_profile = db_profile;
-      params.state_backend = config_.state_backend;
       params.timing = config_.timing;
       params.variant = config_.variant;
       params.validation_cost_factor = validation_factor;
@@ -194,16 +202,19 @@ Status FabricNetwork::Init() {
         params.virtual_block_group = config_.streamchain_virtual_block_size;
       }
       params.rng = env_->rng().Fork(2000 + static_cast<uint64_t>(peer_id));
-      params.validation_cache = validation_cache_.get();
       params.commit_pipelines = commit_pipelines_.get();
       if (admission_stats_ != nullptr) {
         params.admission = &config_.admission;
         params.admission_stats = admission_stats_.get();
       }
-      if (peer_id == 0) {
-        params.on_commit = [this](ChannelId channel, uint64_t number,
-                                  const ValidationOutcome& outcome) {
-          RecordCommit(channel, number, outcome);
+      if (peer_id == 0 || commit_observer_) {
+        params.on_commit = [this, peer_id](ChannelId channel, uint64_t number,
+                                           const ValidationOutcome& outcome) {
+          if (peer_id == 0) RecordCommit(channel, number, outcome);
+          if (commit_observer_) {
+            commit_observer_(*peers_[static_cast<size_t>(peer_id)], channel,
+                             number, outcome);
+          }
         };
       }
       auto peer = std::make_unique<Peer>(std::move(params));
@@ -216,15 +227,11 @@ Status FabricNetwork::Init() {
     }
   }
 
-  // --- Bootstrap world state -----------------------------------------
-  for (int c = 0; c < num_channels; ++c) {
-    std::vector<WriteItem> bootstrap = chaincode_for(c)->BootstrapState();
-    for (auto& peer : peers_) {
-      FABRICSIM_RETURN_NOT_OK(peer->Bootstrap(c, bootstrap));
-    }
-    if (commit_pipelines_ != nullptr) {
-      // The shadow replicas must mirror the peers' bootstrap exactly.
-      FABRICSIM_RETURN_NOT_OK(commit_pipelines_->Bootstrap(c, bootstrap));
+  if (commit_pipelines_ != nullptr) {
+    // The shadow replicas must mirror the stores' bootstrap exactly.
+    for (int c = 0; c < num_channels; ++c) {
+      FABRICSIM_RETURN_NOT_OK(commit_pipelines_->Bootstrap(
+          c, chaincode_for(c)->BootstrapState()));
     }
   }
 

@@ -1,6 +1,7 @@
 #ifndef FABRICSIM_FABRIC_FABRIC_NETWORK_H_
 #define FABRICSIM_FABRIC_FABRIC_NETWORK_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -39,11 +40,12 @@ namespace fabricsim {
 /// The network hosts config.num_channels channels. Every channel is a
 /// full E-O-V pipeline of its own — its own ordering service (one
 /// block cutter / Raft log per channel, multiplexed over the shared
-/// orderer node ids), its own world-state replica and hash chain on
-/// every peer, and its own canonical ledger — while the peers'
-/// endorsement and validation resources are shared, which is where
-/// cross-channel interference comes from. A single-channel network is
-/// byte-identical to the pre-channel simulator.
+/// orderer node ids), its own world state (one VersionedStateStore
+/// that every peer reads at its own committed height), its own hash
+/// chain on every peer, and its own canonical ledger — while the
+/// peers' endorsement and validation resources are shared, which is
+/// where cross-channel interference comes from. A single-channel
+/// network is byte-identical to the pre-channel simulator.
 ///
 /// Usage:
 ///   Environment env(seed);
@@ -72,6 +74,18 @@ class FabricNetwork {
   /// starts. Must be set before StartLoad(); ignored with one channel.
   void set_channel_affinity(const ChannelAffinityConfig& affinity) {
     channel_affinity_ = affinity;
+  }
+
+  /// Observes every peer's block commit, after the peer's cursor has
+  /// moved to the block. Pure observation (no RNG draws, no events);
+  /// must be set before Init(). Tests use it to check each peer's view
+  /// against a reference replica.
+  using CommitObserver =
+      std::function<void(const Peer& peer, ChannelId channel,
+                         uint64_t block_number,
+                         const ValidationOutcome& outcome)>;
+  void set_commit_observer(CommitObserver observer) {
+    commit_observer_ = std::move(observer);
   }
 
   /// Builds and bootstraps all actors. Must be called exactly once
@@ -149,6 +163,11 @@ class FabricNetwork {
   }
   const std::vector<std::unique_ptr<Peer>>& peers() const { return peers_; }
 
+  /// The shared world state of one channel (valid after Init()).
+  const VersionedStateStore& state_store(ChannelId channel = 0) const {
+    return *stores_[static_cast<size_t>(channel)];
+  }
+
   /// Chaincode serving `channel` (the channel's installation, or the
   /// constructor's default).
   Chaincode* chaincode_for(ChannelId channel) const;
@@ -203,7 +222,10 @@ class FabricNetwork {
   std::unique_ptr<EndorsementPolicy> policy_;
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<Network> net_;
-  std::unique_ptr<ValidationOutcomeCache> validation_cache_;
+  /// One per channel; declared before peers_ so every cursor's store
+  /// outlives its peer.
+  std::vector<std::unique_ptr<VersionedStateStore>> stores_;
+  CommitObserver commit_observer_;
   /// Threaded execution mode only (see src/channels/commit_pipeline.h);
   /// nullptr in serial mode.
   std::unique_ptr<CommitPipelines> commit_pipelines_;

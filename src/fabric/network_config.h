@@ -168,20 +168,22 @@ struct FabricConfig {
   ClusterConfig cluster = ClusterConfig::C1();
   DatabaseType db_type = DatabaseType::kCouchDb;
 
-  /// Data structure behind every per-channel world-state replica (and
-  /// FabricSharp endorsement snapshot) of every peer. Orthogonal to
-  /// db_type: the backend is how fast the simulator executes state
-  /// ops, db_type is how much simulated time they cost. All backends
-  /// produce bit-identical simulation results; the ordered-map default
-  /// pins the paper figures, the hash/btree backends make million-key
-  /// world state cheap (see src/statedb/state_backend.h).
+  /// Data structure behind the head of every channel's shared
+  /// VersionedStateStore, which all peers read at their own height.
+  /// Orthogonal to db_type: the backend is how fast the simulator
+  /// executes state ops, db_type is how much simulated time they
+  /// cost. All backends produce bit-identical simulation results; the
+  /// ordered-map default pins the paper figures, the hash/btree
+  /// backends make million-key world state cheap (see
+  /// src/statedb/state_backend.h).
   StateBackendType state_backend = StateBackendType::kOrderedMap;
 
   /// Number of channels (independent ledger shards) the network hosts.
-  /// Every peer serves every channel with its own per-channel state
-  /// replica and chain; the ordering service runs one block cutter
-  /// (or one Raft group in replicated mode) per channel on the same
-  /// orderer nodes. 1 reproduces the pre-channel pipeline exactly.
+  /// Every peer serves every channel with its own cursor into the
+  /// channel's shared state and its own chain; the ordering service
+  /// runs one block cutter (or one Raft group in replicated mode) per
+  /// channel on the same orderer nodes. 1 reproduces the pre-channel
+  /// pipeline exactly.
   int num_channels = 1;
 
   /// Endorsement policy text (PolicyParser grammar). When empty, the

@@ -24,7 +24,6 @@ Peer::Peer(Params params)
                                ? 1
                                : params.virtual_block_group),
       rng_(std::move(params.rng)),
-      validation_cache_(params.validation_cache),
       commit_pipelines_(params.commit_pipelines),
       on_commit_(std::move(params.on_commit)),
       endorse_queue_("endorse"),
@@ -36,39 +35,25 @@ Peer::Peer(Params params)
     admission_ = params.admission;
     admission_stats_ = params.admission_stats;
   }
-  int num_channels = std::max(params.num_channels, 1);
-  channels_.resize(static_cast<size_t>(num_channels));
-  for (int c = 0; c < num_channels; ++c) {
-    ChannelLedger& ch = channels_[static_cast<size_t>(c)];
-    ch.state = MakeStateDb(params.state_backend);
-    ch.endorse_view = ch.state.get();
+  // One ChannelLedger per channel store; its cursors join the store at
+  // the oldest height still readable.
+  channels_.reserve(params.stores.size());
+  for (size_t c = 0; c < params.stores.size(); ++c) {
+    ChannelLedger& ch = channels_.emplace_back(params.stores[c]);
+    ch.endorse_view = &ch.state;
     if (variant_ == FabricVariant::kFabricSharp && snapshot_interval_ > 0) {
       // FabricSharp parallelizes execution and validation with block
-      // snapshots: endorsers run against a separate, periodically
-      // refreshed view, which lags behind the committed state.
-      ch.endorse_snapshot = MakeStateDb(params.state_backend);
-      ch.endorse_view = ch.endorse_snapshot.get();
+      // snapshots: endorsers run against a second cursor that is
+      // periodically moved up to the committed height, so it lags.
+      ch.endorse_snapshot.emplace(ch.store, ch.store->AddCursor());
+      ch.endorse_view = &*ch.endorse_snapshot;
     }
     ch.chaincode =
-        static_cast<size_t>(c) < params.channel_chaincodes.size() &&
-                params.channel_chaincodes[static_cast<size_t>(c)] != nullptr
-            ? params.channel_chaincodes[static_cast<size_t>(c)]
+        c < params.channel_chaincodes.size() &&
+                params.channel_chaincodes[c] != nullptr
+            ? params.channel_chaincodes[c]
             : params.chaincode;
   }
-}
-
-Status Peer::Bootstrap(const std::vector<WriteItem>& writes) {
-  return Bootstrap(kDefaultChannel, writes);
-}
-
-Status Peer::Bootstrap(ChannelId channel,
-                       const std::vector<WriteItem>& writes) {
-  ChannelLedger& ch = Channel(channel);
-  FABRICSIM_RETURN_NOT_OK(ApplyBootstrap(*ch.state, writes));
-  if (ch.endorse_snapshot != nullptr) {
-    FABRICSIM_RETURN_NOT_OK(ApplyBootstrap(*ch.endorse_snapshot, writes));
-  }
-  return Status::OK();
 }
 
 void Peer::HandleProposal(ProposalRequest request) {
@@ -308,8 +293,8 @@ void Peer::CatchUp() {
   if (!block_fetcher_) return;
   // Replay every canonical block cut while we were down — on every
   // channel, oldest first per channel — through the normal validation
-  // pipeline (the replicated validation work is real; the shared
-  // outcome cache still spares recomputation). Blocks cut after the
+  // pipeline (the replicated validation work is real; the store's
+  // shared outcome still spares recomputation). Blocks cut after the
   // restart arrive through regular delivery and find each chain
   // already dense.
   for (size_t c = 0; c < channels_.size(); ++c) {
@@ -377,26 +362,20 @@ void Peer::ProcessBlock(std::shared_ptr<const Block> block) {
       *env_, block->channel,
       [this, outcome, block]() -> SimTime {
         ChannelLedger& ch = Channel(block->channel);
-        // All replicas compute identical outcomes (deterministic
-        // validation over identical state); share the computation.
-        // The memo key carries the channel: block numbers are only
-        // dense per channel. In threaded mode the first computation
-        // joins the commit pipeline's speculative result instead of
-        // validating inline — identical by the same purity argument,
-        // since the pipeline's shadow state tracks ch.state exactly.
-        auto compute = [&]() -> ValidationOutcome {
+        // Every peer computes the identical outcome (deterministic
+        // validation over the same state at the same height), so the
+        // store computes it once for the channel. In threaded mode the
+        // first computation joins the commit pipeline's speculative
+        // result instead of validating inline — identical by the same
+        // purity argument, since the pipeline's shadow state tracks
+        // the committed state exactly.
+        *outcome = ch.store->GetOrValidate(block->number, [&] {
           if (commit_pipelines_ != nullptr &&
               commit_pipelines_->Has(block->channel, block->number)) {
             return commit_pipelines_->Take(block->channel, block->number);
           }
-          return validator_.ValidateBlock(*ch.state, *block);
-        };
-        if (validation_cache_ != nullptr) {
-          *outcome = validation_cache_->GetOrCompute(
-              ChannelBlockKey(block->channel, block->number), compute);
-        } else {
-          *outcome = std::make_shared<const ValidationOutcome>(compute());
-        }
+          return validator_.ValidateBlock(ch.state, *block);
+        });
         bool charge_fixed =
             virtual_block_group_ <= 1 ||
             block->number % virtual_block_group_ == 0;
@@ -407,34 +386,35 @@ void Peer::ProcessBlock(std::shared_ptr<const Block> block) {
       },
       [this, outcome, block]() {
         ChannelLedger& ch = Channel(block->channel);
-        CommitStateUpdates(*ch.state, (*outcome)->state_updates);
-        ch.committed_height = block->number;
         // Extend the committed hash chain (pure observation: no RNG
         // draws, no scheduled events — disabled-subsystem runs stay
-        // bitwise identical).
+        // bitwise identical). The store hashes each delivered block
+        // object once; a peer holding another copy hashes its own.
         uint64_t prev_chain = ch.chain_records.empty()
                                   ? kChainHashSeed
                                   : ch.chain_records.back().chain_hash;
-        uint64_t content = BlockContentHash(*block, (*outcome)->results);
+        uint64_t content = ch.store->ContentHash(block, *outcome);
+        (void)ch.store->Commit(ch.state.cursor(), block->number, **outcome);
         ch.chain_records.push_back(PeerChainRecord{
             block->number, content, MixChainHash(prev_chain, content)});
         if (Tracer* tracer = env_->tracer()) {
           tracer->OnPeerCommit(id_, block->channel, block->number,
                                env_->now());
         }
-        if (ch.endorse_snapshot != nullptr) {
-          // Refresh the endorsement snapshot at the next snapshot
-          // boundary; application order across blocks is preserved by
+        if (ch.endorse_snapshot.has_value()) {
+          // Move the endorsement snapshot up at the next snapshot
+          // boundary; cursor order across blocks is preserved by
           // keeping the apply time monotonic.
           SimTime lag = static_cast<SimTime>(rng_.UniformRange(
               0.0, static_cast<double>(snapshot_interval_)));
           SimTime apply_at =
               std::max(env_->now() + lag, ch.last_snapshot_apply);
           ch.last_snapshot_apply = apply_at;
-          auto shared = *outcome;
-          StateDatabase* snapshot = ch.endorse_snapshot.get();
-          env_->ScheduleAt(apply_at, [snapshot, shared]() {
-            CommitStateUpdates(*snapshot, shared->state_updates);
+          VersionedStateStore* store = ch.store;
+          VersionedStateStore::CursorId cursor = ch.endorse_snapshot->cursor();
+          uint64_t height = block->number;
+          env_->ScheduleAt(apply_at, [store, cursor, height]() {
+            (void)store->Advance(cursor, height);
           });
         }
         if (on_commit_) {

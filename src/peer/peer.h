@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/admission/admission.h"
@@ -13,12 +14,11 @@
 #include "src/channels/channel_work_pool.h"
 #include "src/common/rng.h"
 #include "src/fabric/network_config.h"
-#include "src/peer/committer.h"
 #include "src/peer/endorser.h"
 #include "src/peer/validator.h"
 #include "src/sim/network.h"
 #include "src/sim/work_queue.h"
-#include "src/statedb/state_database.h"
+#include "src/statedb/versioned_state_store.h"
 
 namespace fabricsim {
 
@@ -61,8 +61,12 @@ struct ProposalResponse {
   ProposalReject reject = ProposalReject::kNone;
 };
 
-/// A peer node: endorser + validator + committer over its own
-/// world-state replicas, one replica per channel the peer serves.
+/// A peer node: endorser + validator + committer. The peer owns no
+/// world state: per channel it holds a height cursor into the
+/// channel's shared VersionedStateStore and reads through a StateView
+/// at that height (FabricSharp adds a second, lagging cursor for
+/// endorsement). Timing is still charged per peer, so a peer behaves
+/// exactly as if it applied every block to a private replica.
 /// Two execution resources model a real peer process:
 ///  * the chaincode/endorsement path (chaincode container + endorser
 ///    gRPC handlers), shared by every channel — a serial queue; and
@@ -80,9 +84,10 @@ class Peer {
     NodeId node = 0;
     Environment* env = nullptr;
     Network* net = nullptr;
-    /// Channels this peer serves (ids 0..num_channels-1), each with
-    /// its own state replica, chain, and commit pipeline.
-    int num_channels = 1;
+    /// One shared world-state store per channel this peer serves,
+    /// indexed by channel id (at least one). Each must outlive the
+    /// peer; the peer registers its cursors at construction.
+    std::vector<VersionedStateStore*> stores;
     /// Chaincode every channel falls back to.
     Chaincode* chaincode = nullptr;
     /// Optional per-channel chaincode overrides, indexed by channel;
@@ -90,9 +95,6 @@ class Peer {
     std::vector<Chaincode*> channel_chaincodes;
     EndorsementPolicy policy;
     DbLatencyProfile db_profile;
-    /// Backend for this peer's per-channel state replicas and
-    /// endorsement snapshots (bit-identical behaviour across choices).
-    StateBackendType state_backend = StateBackendType::kOrderedMap;
     TimingConfig timing;
     FabricVariant variant = FabricVariant::kFabric14;
     /// Multiplier on validation service time (<1 for Streamchain's
@@ -105,9 +107,6 @@ class Peer {
     /// many blocks (group commit). 1 = every block.
     uint32_t virtual_block_group = 1;
     Rng rng{1, 1};
-    /// Shared validation-outcome memo (see ValidationOutcomeCache).
-    /// Optional; nullptr makes every peer validate independently.
-    ValidationOutcomeCache* validation_cache = nullptr;
     /// Speculative per-channel validation pipelines (threaded
     /// execution mode). Optional; when set, the first peer to need a
     /// block's outcome joins the precomputed result instead of
@@ -125,13 +124,6 @@ class Peer {
   };
 
   explicit Peer(Params params);
-
-  /// Populates the default channel's world state before the run
-  /// (version (0,0)).
-  Status Bootstrap(const std::vector<WriteItem>& writes);
-
-  /// Populates one channel's world state before the run.
-  Status Bootstrap(ChannelId channel, const std::vector<WriteItem>& writes);
 
   /// Handles an endorsement proposal (already delivered through the
   /// network). Queues chaincode execution on the endorsement queue.
@@ -182,23 +174,21 @@ class Peer {
   int num_channels() const { return static_cast<int>(channels_.size()); }
 
   /// Committed world state of the default channel (validation view).
-  const StateDatabase& state() const { return *channels_[0].state; }
-  const StateDatabase& state(ChannelId channel) const {
-    return *channels_[static_cast<size_t>(channel)].state;
+  const StateView& state() const { return channels_[0].state; }
+  const StateView& state(ChannelId channel) const {
+    return channels_[static_cast<size_t>(channel)].state;
   }
 
   /// World state the endorser executes against. Same object as
   /// state() except under FabricSharp's snapshot model.
-  const StateDatabase& endorse_view() const {
-    return *channels_[0].endorse_view;
-  }
-  const StateDatabase& endorse_view(ChannelId channel) const {
+  const StateView& endorse_view() const { return *channels_[0].endorse_view; }
+  const StateView& endorse_view(ChannelId channel) const {
     return *channels_[static_cast<size_t>(channel)].endorse_view;
   }
 
-  uint64_t committed_height() const { return channels_[0].committed_height; }
+  uint64_t committed_height() const { return channels_[0].state.height(); }
   uint64_t committed_height(ChannelId channel) const {
-    return channels_[static_cast<size_t>(channel)].committed_height;
+    return channels_[static_cast<size_t>(channel)].state.height();
   }
 
   const WorkQueue& endorse_queue() const { return endorse_queue_; }
@@ -224,15 +214,21 @@ class Peer {
   uint64_t blocks_replayed() const { return blocks_replayed_; }
 
  private:
-  /// Everything a peer keeps per channel: its replica of that
-  /// channel's world state, the endorsement view, and the commit
+  /// Everything a peer keeps per channel: its cursors into the
+  /// channel's shared store, the endorsement view, and the commit
   /// pipeline's in-order bookkeeping.
   struct ChannelLedger {
-    std::unique_ptr<StateDatabase> state;
-    std::unique_ptr<StateDatabase> endorse_snapshot;  // FabricSharp only
-    StateDatabase* endorse_view = nullptr;
+    explicit ChannelLedger(VersionedStateStore* shared)
+        : store(shared), state(shared, shared->AddCursor()) {}
+
+    VersionedStateStore* store;
+    /// The committed-height cursor.
+    StateView state;
+    /// FabricSharp only: a second cursor that follows the committed
+    /// one after the snapshot lag.
+    std::optional<StateView> endorse_snapshot;
+    const StateView* endorse_view = nullptr;
     Chaincode* chaincode = nullptr;
-    uint64_t committed_height = 0;
     uint64_t next_to_enqueue = 1;
     std::vector<PeerChainRecord> chain_records;
     std::map<uint64_t, std::shared_ptr<const Block>> reorder_buffer;
@@ -284,7 +280,6 @@ class Peer {
   SimTime snapshot_interval_;
   uint32_t virtual_block_group_;
   Rng rng_;
-  ValidationOutcomeCache* validation_cache_;
   CommitPipelines* commit_pipelines_;
   std::function<void(ChannelId, uint64_t, const ValidationOutcome&)>
       on_commit_;

@@ -188,20 +188,6 @@ TxValidationResult Validator::ValidateTx(const StateDatabase& db,
   return result;
 }
 
-std::shared_ptr<const ValidationOutcome> ValidationOutcomeCache::GetOrCompute(
-    uint64_t block_number, const std::function<ValidationOutcome()>& compute) {
-  auto it = entries_.find(block_number);
-  if (it == entries_.end()) {
-    Entry entry;
-    entry.outcome = std::make_shared<const ValidationOutcome>(compute());
-    entry.remaining = consumers_;
-    it = entries_.emplace(block_number, std::move(entry)).first;
-  }
-  std::shared_ptr<const ValidationOutcome> outcome = it->second.outcome;
-  if (--it->second.remaining <= 0) entries_.erase(it);
-  return outcome;
-}
-
 ValidationOutcome Validator::ValidateBlock(const StateDatabase& db,
                                            const Block& block) const {
   ValidationOutcome outcome;

@@ -1,8 +1,6 @@
 #ifndef FABRICSIM_PEER_VALIDATOR_H_
 #define FABRICSIM_PEER_VALIDATOR_H_
 
-#include <functional>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -83,36 +81,6 @@ class Validator {
   bool CheckVscc(const Transaction& tx) const;
 
   EndorsementPolicy policy_;
-};
-
-/// Memoizes per-block validation outcomes across replicas. Validation
-/// is a pure function of (pre-block state, block content), and every
-/// peer processes the same blocks in the same order from the same
-/// bootstrap, so all replicas compute identical outcomes. The
-/// simulation therefore computes each block once and shares the
-/// result — purely a simulator-performance optimization: the timing
-/// model still charges every peer its own (jittered) service time.
-/// Entries are dropped once every consumer has fetched them.
-class ValidationOutcomeCache {
- public:
-  /// `consumers` = number of peers that will request each block.
-  explicit ValidationOutcomeCache(int consumers) : consumers_(consumers) {}
-
-  /// Returns the memoized outcome for `block_number`, invoking
-  /// `compute` only on the first request.
-  std::shared_ptr<const ValidationOutcome> GetOrCompute(
-      uint64_t block_number,
-      const std::function<ValidationOutcome()>& compute);
-
-  size_t live_entries() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    std::shared_ptr<const ValidationOutcome> outcome;
-    int remaining;
-  };
-  int consumers_;
-  std::unordered_map<uint64_t, Entry> entries_;
 };
 
 }  // namespace fabricsim

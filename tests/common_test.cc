@@ -264,6 +264,25 @@ TEST(StringsTest, PadKeyLexicographicOrder) {
   EXPECT_LT(PadKey(99, 4), PadKey(100, 4));
 }
 
+TEST(StringsTest, ParseNumbersNameTheInput) {
+  EXPECT_EQ(ParseUint64("n", "42").value(), 42u);
+  EXPECT_EQ(ParseUint64("n", "18446744073709551615").value(), UINT64_MAX);
+  for (const char* bad :
+       {"", "abc", "-1", "4x", " 4", "18446744073709551616"}) {
+    Result<uint64_t> r = ParseUint64("--block-size", bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("--block-size"), std::string::npos);
+  }
+  EXPECT_DOUBLE_EQ(ParseDouble("x", "2.5").value(), 2.5);
+  EXPECT_DOUBLE_EQ(ParseDouble("x", "-1e3").value(), -1000.0);
+  for (const char* bad : {"", "abc", "1.5.2", "nan", "inf", "1e999", "3 "}) {
+    Result<double> r = ParseDouble("--rate", bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_NE(r.status().message().find("--rate"), std::string::npos);
+  }
+}
+
 TEST(StringsTest, FnvDeterministicAndSensitive) {
   EXPECT_EQ(Fnv1a("abc"), Fnv1a("abc"));
   EXPECT_NE(Fnv1a("abc"), Fnv1a("abd"));

@@ -1,6 +1,7 @@
 // Actor-level tests for the Peer: endorsement queueing, out-of-order
-// block buffering, validation-cache sharing, and the FabricSharp
-// snapshot view.
+// block buffering, shared validation outcomes, and the FabricSharp
+// snapshot view. Peers are bare actors over one shared, bootstrapped
+// VersionedStateStore (the channel's world state).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,7 +20,11 @@ class PeerTest : public ::testing::Test {
     net_ = std::make_unique<Network>(NetworkConfig{}, Rng(7));
     chaincode_ = std::make_unique<GenChaincode>(
         GenChaincodeSpec::PaperDefault(/*keys=*/50));
+    store_ = std::make_unique<VersionedStateStore>();
   }
+
+  // Bootstraps the shared channel state peers read through cursors.
+  Status Bootstrap() { return store_->Bootstrap(chaincode_->BootstrapState()); }
 
   Peer::Params BaseParams() {
     Peer::Params params;
@@ -28,6 +33,7 @@ class PeerTest : public ::testing::Test {
     params.node = 1;
     params.env = env_.get();
     params.net = net_.get();
+    params.stores = {store_.get()};
     params.chaincode = chaincode_.get();
     params.policy = MakePolicy(PolicyPreset::kP0AllOrgs, 2);
     params.db_profile = DbLatencyProfile::LevelDb();
@@ -56,11 +62,12 @@ class PeerTest : public ::testing::Test {
   std::unique_ptr<Environment> env_;
   std::unique_ptr<Network> net_;
   std::unique_ptr<GenChaincode> chaincode_;
+  std::unique_ptr<VersionedStateStore> store_;
 };
 
 TEST_F(PeerTest, EndorsesAgainstBootstrappedState) {
   Peer peer(BaseParams());
-  ASSERT_TRUE(peer.Bootstrap(chaincode_->BootstrapState()).ok());
+  ASSERT_TRUE(Bootstrap().ok());
 
   ProposalResponse got;
   ProposalRequest request;
@@ -81,7 +88,7 @@ TEST_F(PeerTest, EndorsesAgainstBootstrappedState) {
 
 TEST_F(PeerTest, EndorsementTakesDbAndSigningTime) {
   Peer peer(BaseParams());
-  ASSERT_TRUE(peer.Bootstrap(chaincode_->BootstrapState()).ok());
+  ASSERT_TRUE(Bootstrap().ok());
   SimTime completion = -1;
   ProposalRequest request;
   request.invocation = Invocation{"readKeys", {GenChaincode::Key(0)}};
@@ -97,7 +104,7 @@ TEST_F(PeerTest, EndorsementTakesDbAndSigningTime) {
 
 TEST_F(PeerTest, OutOfOrderBlocksAreBuffered) {
   Peer peer(BaseParams());
-  ASSERT_TRUE(peer.Bootstrap(chaincode_->BootstrapState()).ok());
+  ASSERT_TRUE(Bootstrap().ok());
   std::string key = GenChaincode::Key(1);
 
   // Deliver block 2 before block 1 (network reordering).
@@ -121,7 +128,7 @@ TEST_F(PeerTest, CommitCallbackFiresInOrder) {
     committed.push_back(number);
   };
   Peer peer(std::move(params));
-  ASSERT_TRUE(peer.Bootstrap(chaincode_->BootstrapState()).ok());
+  ASSERT_TRUE(Bootstrap().ok());
   peer.HandleBlock(MakeWriterBlock(3, GenChaincode::Key(0)));
   peer.HandleBlock(MakeWriterBlock(1, GenChaincode::Key(0)));
   peer.HandleBlock(MakeWriterBlock(2, GenChaincode::Key(0)));
@@ -130,33 +137,29 @@ TEST_F(PeerTest, CommitCallbackFiresInOrder) {
 }
 
 TEST_F(PeerTest, ValidationCacheSharedAcrossPeers) {
-  ValidationOutcomeCache cache(/*consumers=*/2);
   int computations = 0;
 
   Peer::Params p1 = BaseParams();
-  p1.validation_cache = &cache;
   Peer::Params p2 = BaseParams();
   p2.id = 1;
   p2.node = 2;
-  p2.validation_cache = &cache;
   Peer peer1(std::move(p1));
   Peer peer2(std::move(p2));
-  ASSERT_TRUE(peer1.Bootstrap(chaincode_->BootstrapState()).ok());
-  ASSERT_TRUE(peer2.Bootstrap(chaincode_->BootstrapState()).ok());
+  ASSERT_TRUE(Bootstrap().ok());
 
-  // Count computations via the cache API directly.
-  auto outcome_a = cache.GetOrCompute(7, [&] {
+  // Count computations via the store API directly.
+  auto outcome_a = store_->GetOrValidate(7, [&] {
     ++computations;
     return ValidationOutcome{};
   });
-  auto outcome_b = cache.GetOrCompute(7, [&] {
+  auto outcome_b = store_->GetOrValidate(7, [&] {
     ++computations;
     return ValidationOutcome{};
   });
   EXPECT_EQ(computations, 1);
   EXPECT_EQ(outcome_a.get(), outcome_b.get());
-  // Entry is dropped after the last consumer.
-  EXPECT_EQ(cache.live_entries(), 0u);
+  // The entry lives until every cursor has committed past block 7.
+  EXPECT_EQ(store_->live_outcomes(), 1u);
 
   auto block = MakeWriterBlock(1, GenChaincode::Key(4));
   peer1.HandleBlock(block);
@@ -164,7 +167,9 @@ TEST_F(PeerTest, ValidationCacheSharedAcrossPeers) {
   env_->RunAll();
   EXPECT_EQ(peer1.committed_height(), 1u);
   EXPECT_EQ(peer2.committed_height(), 1u);
-  EXPECT_EQ(cache.live_entries(), 0u);
+  // Block 1's outcome is dropped once both peers committed it; block
+  // 7's stays until the cursors pass it.
+  EXPECT_EQ(store_->live_outcomes(), 1u);
   EXPECT_EQ(peer1.state().Get(GenChaincode::Key(4))->value,
             peer2.state().Get(GenChaincode::Key(4))->value);
 }
@@ -174,7 +179,7 @@ TEST_F(PeerTest, FabricSharpSnapshotViewLagsCommittedState) {
   params.variant = FabricVariant::kFabricSharp;
   params.snapshot_interval = 500 * kMillisecond;
   Peer peer(std::move(params));
-  ASSERT_TRUE(peer.Bootstrap(chaincode_->BootstrapState()).ok());
+  ASSERT_TRUE(Bootstrap().ok());
   std::string key = GenChaincode::Key(9);
 
   peer.HandleBlock(MakeWriterBlock(1, key));
@@ -198,8 +203,7 @@ TEST_F(PeerTest, VirtualBlockGroupAmortizesFixedCommitCosts) {
   grouped.virtual_block_group = 2;
   Peer peer_grouped(std::move(grouped));
   Peer peer_plain(BaseParams());
-  ASSERT_TRUE(peer_grouped.Bootstrap(chaincode_->BootstrapState()).ok());
-  ASSERT_TRUE(peer_plain.Bootstrap(chaincode_->BootstrapState()).ok());
+  ASSERT_TRUE(Bootstrap().ok());
   for (uint64_t n = 1; n <= 4; ++n) {
     peer_grouped.HandleBlock(MakeWriterBlock(n, GenChaincode::Key(2)));
     peer_plain.HandleBlock(MakeWriterBlock(n, GenChaincode::Key(2)));
