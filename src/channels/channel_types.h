@@ -30,15 +30,6 @@ struct ChannelAffinityConfig {
   int pinned_channel = -1;
 };
 
-/// Cache key combining channel and per-channel block number. Block
-/// numbers are dense per channel and realistic runs stay far below
-/// 2^48 blocks, so the channel tag rides in the top bits; channel 0
-/// maps to the bare block number (the pre-channel key layout).
-inline uint64_t ChannelBlockKey(ChannelId channel, uint64_t block_number) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(channel)) << 48) |
-         block_number;
-}
-
 }  // namespace fabricsim
 
 #endif  // FABRICSIM_CHANNELS_CHANNEL_TYPES_H_

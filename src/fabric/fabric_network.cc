@@ -157,20 +157,6 @@ Status FabricNetwork::Init() {
   }
   std::vector<VersionedStateStore*> stores;
   for (const auto& store : stores_) stores.push_back(store.get());
-  if (env_->executor().mode() == ExecutionMode::kThreaded) {
-    // Threaded execution: per-channel pipelines validate each cut
-    // block on worker threads ahead of the virtual clock; the first
-    // peer to need the outcome joins it through the store's validation
-    // hook. Pure wall-clock optimization — results stay bitwise
-    // identical to serial mode.
-    CommitPipelines::Params cp;
-    cp.executor = &env_->executor();
-    cp.num_channels = num_channels;
-    cp.policy = *policy_;
-    cp.state_backend = config_.state_backend;
-    cp.lookahead_blocks = env_->executor().config().lookahead_blocks;
-    commit_pipelines_ = std::make_unique<CommitPipelines>(std::move(cp));
-  }
   std::vector<Chaincode*> channel_chaincodes;
   if (num_channels > 1) {
     channel_chaincodes.reserve(static_cast<size_t>(num_channels));
@@ -202,7 +188,6 @@ Status FabricNetwork::Init() {
         params.virtual_block_group = config_.streamchain_virtual_block_size;
       }
       params.rng = env_->rng().Fork(2000 + static_cast<uint64_t>(peer_id));
-      params.commit_pipelines = commit_pipelines_.get();
       if (admission_stats_ != nullptr) {
         params.admission = &config_.admission;
         params.admission_stats = admission_stats_.get();
@@ -224,14 +209,6 @@ Status FabricNetwork::Init() {
       }
       peers_by_org_[static_cast<size_t>(org)].push_back(peer.get());
       peers_.push_back(std::move(peer));
-    }
-  }
-
-  if (commit_pipelines_ != nullptr) {
-    // The shadow replicas must mirror the stores' bootstrap exactly.
-    for (int c = 0; c < num_channels; ++c) {
-      FABRICSIM_RETURN_NOT_OK(commit_pipelines_->Bootstrap(
-          c, chaincode_for(c)->BootstrapState()));
     }
   }
 
@@ -262,10 +239,6 @@ Status FabricNetwork::Init() {
         }});
   }
   auto on_block_cut = [this](std::shared_ptr<Block> block) {
-    // Block content is final here in both ordering modes (the compat
-    // cutter assembles it once; Raft fires this only after quorum
-    // commit), so it is safe to hand to the speculative pipeline.
-    if (commit_pipelines_ != nullptr) commit_pipelines_->OnBlockCut(block);
     ChannelRuntime& runtime = channels_[static_cast<size_t>(block->channel)];
     runtime.canonical_blocks[block->number] = std::move(block);
   };

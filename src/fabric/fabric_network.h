@@ -11,7 +11,6 @@
 #include "src/chaincode/chaincode.h"
 #include "src/chaincode/registry.h"
 #include "src/channels/channel_types.h"
-#include "src/channels/commit_pipeline.h"
 #include "src/client/client.h"
 #include "src/common/status.h"
 #include "src/ext/fabricpp/reorderer.h"
@@ -226,9 +225,6 @@ class FabricNetwork {
   /// outlives its peer.
   std::vector<std::unique_ptr<VersionedStateStore>> stores_;
   CommitObserver commit_observer_;
-  /// Threaded execution mode only (see src/channels/commit_pipeline.h);
-  /// nullptr in serial mode.
-  std::unique_ptr<CommitPipelines> commit_pipelines_;
   std::unique_ptr<FabricPlusPlusProcessor> fabricpp_;
   std::unique_ptr<FabricSharpProcessor> fabricsharp_;
   /// Allocated in Init() only when config_.admission.enabled(); shared

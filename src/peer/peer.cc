@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/channels/commit_pipeline.h"
 #include "src/obs/tracer.h"
 
 namespace fabricsim {
@@ -24,7 +23,6 @@ Peer::Peer(Params params)
                                ? 1
                                : params.virtual_block_group),
       rng_(std::move(params.rng)),
-      commit_pipelines_(params.commit_pipelines),
       on_commit_(std::move(params.on_commit)),
       endorse_queue_("endorse"),
       validate_pool_("validate",
@@ -364,16 +362,8 @@ void Peer::ProcessBlock(std::shared_ptr<const Block> block) {
         ChannelLedger& ch = Channel(block->channel);
         // Every peer computes the identical outcome (deterministic
         // validation over the same state at the same height), so the
-        // store computes it once for the channel. In threaded mode the
-        // first computation joins the commit pipeline's speculative
-        // result instead of validating inline — identical by the same
-        // purity argument, since the pipeline's shadow state tracks
-        // the committed state exactly.
+        // store computes it once for the channel.
         *outcome = ch.store->GetOrValidate(block->number, [&] {
-          if (commit_pipelines_ != nullptr &&
-              commit_pipelines_->Has(block->channel, block->number)) {
-            return commit_pipelines_->Take(block->channel, block->number);
-          }
           return validator_.ValidateBlock(ch.state, *block);
         });
         bool charge_fixed =
@@ -413,9 +403,12 @@ void Peer::ProcessBlock(std::shared_ptr<const Block> block) {
           VersionedStateStore* store = ch.store;
           VersionedStateStore::CursorId cursor = ch.endorse_snapshot->cursor();
           uint64_t height = block->number;
-          env_->ScheduleAt(apply_at, [store, cursor, height]() {
-            (void)store->Advance(cursor, height);
-          });
+          env_->Schedule(
+              apply_at,
+              [store, cursor, height]() {
+                (void)store->Advance(cursor, height);
+              },
+              ScheduleOpts{.absolute = true});
         }
         if (on_commit_) {
           on_commit_(block->channel, block->number, **outcome);

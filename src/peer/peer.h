@@ -22,8 +22,6 @@
 
 namespace fabricsim {
 
-class CommitPipelines;  // src/channels/commit_pipeline.h
-
 /// A proposal sent from a client to an endorsing peer (flow step 1).
 /// `reply` is invoked by the peer when the endorsement response is
 /// ready; the closure the client installed routes it back over the
@@ -107,11 +105,6 @@ class Peer {
     /// many blocks (group commit). 1 = every block.
     uint32_t virtual_block_group = 1;
     Rng rng{1, 1};
-    /// Speculative per-channel validation pipelines (threaded
-    /// execution mode). Optional; when set, the first peer to need a
-    /// block's outcome joins the precomputed result instead of
-    /// validating inline. nullptr = serial reference behaviour.
-    CommitPipelines* commit_pipelines = nullptr;
     /// Invoked when a block finishes committing on this peer (used by
     /// the reference peer to record the canonical ledger).
     std::function<void(ChannelId channel, uint64_t block_number,
@@ -280,7 +273,6 @@ class Peer {
   SimTime snapshot_interval_;
   uint32_t virtual_block_group_;
   Rng rng_;
-  CommitPipelines* commit_pipelines_;
   std::function<void(ChannelId, uint64_t, const ValidationOutcome&)>
       on_commit_;
 

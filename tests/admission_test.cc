@@ -2,9 +2,9 @@
 // of the circuit breaker, retry budget, CoDel control law and backoff
 // cap; default-off bitwise identity against the pre-PR golden; deadline
 // propagation through all three pipeline phases; endorser queue
-// policies; orderer backpressure; determinism across execution modes
-// and job counts with protection active; and composition with fault
-// plans and surge-window populations.
+// policies; orderer backpressure; determinism across job counts with
+// protection active; and composition with fault plans and surge-window
+// populations.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -462,31 +462,6 @@ TEST(AdmissionIntegrationTest, RetryBudgetBoundsRetriesUnderOverload) {
 
 // ---------------------------------------------------------------------
 // Determinism with protection active.
-
-TEST(AdmissionDeterminismTest, ProtectedRunIdenticalAcrossExecutionModes) {
-  ExperimentConfig config = OverloadConfig(/*rate_tps=*/600.0);
-  config.fabric.admission = FullProtection();
-  Result<FailureReport> serial = RunOnce(config, 42);
-  config.fabric.execution = ExecutionConfig::Threaded(4);
-  Result<FailureReport> threaded = RunOnce(config, 42);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-  EXPECT_EQ(AdmissionFingerprint(serial.value()),
-            AdmissionFingerprint(threaded.value()));
-}
-
-TEST(AdmissionDeterminismTest, ProtectedMultiChannelIdenticalAcrossModes) {
-  ExperimentConfig config = OverloadConfig(/*rate_tps=*/600.0);
-  config.fabric.num_channels = 4;
-  config.fabric.admission = FullProtection();
-  Result<FailureReport> serial = RunOnce(config, 42);
-  config.fabric.execution = ExecutionConfig::Threaded(4);
-  Result<FailureReport> threaded = RunOnce(config, 42);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-  EXPECT_EQ(AdmissionFingerprint(serial.value()),
-            AdmissionFingerprint(threaded.value()));
-}
 
 TEST(AdmissionDeterminismTest, ProtectedRunIdenticalAcrossJobCounts) {
   ExperimentConfig config = OverloadConfig(/*rate_tps=*/600.0);

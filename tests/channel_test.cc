@@ -172,16 +172,22 @@ TEST(ChannelWorkPoolTest, SingleChannelMatchesWorkQueue) {
   for (int i = 0; i < 6; ++i) {
     SimTime at = i * 3 * kMillisecond;
     SimTime service = (7 + 2 * i) * kMillisecond;
-    env_q.ScheduleAt(at, [&, i, service] {
-      queue.Submit(
-          env_q, [service] { return service; },
-          [&, i] { done_q.push_back({env_q.now(), i}); });
-    });
-    env_p.ScheduleAt(at, [&, i, service] {
-      pool.Submit(
-          env_p, kDefaultChannel, [service] { return service; },
-          [&, i] { done_p.push_back({env_p.now(), i}); });
-    });
+    env_q.Schedule(
+        at,
+        [&, i, service] {
+          queue.Submit(
+              env_q, [service] { return service; },
+              [&, i] { done_q.push_back({env_q.now(), i}); });
+        },
+        ScheduleOpts{.absolute = true});
+    env_p.Schedule(
+        at,
+        [&, i, service] {
+          pool.Submit(
+              env_p, kDefaultChannel, [service] { return service; },
+              [&, i] { done_p.push_back({env_p.now(), i}); });
+        },
+        ScheduleOpts{.absolute = true});
   }
   env_q.RunAll();
   env_p.RunAll();
