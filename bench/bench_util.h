@@ -143,6 +143,22 @@ class JsonWriter {
     writer_.AddRow(buf);
   }
 
+  /// Row summarizing a metric over repeated runs: its median and
+  /// range, with the median wall time.
+  void RowSpread(const std::string& figure, double point, uint64_t seed,
+                 int runs, double wall_ms, const char* metric, double median,
+                 double min, double max) {
+    char buf[384];
+    std::snprintf(buf, sizeof(buf),
+                  "{\"figure\": \"%s\", \"point\": %g, \"seed\": %llu, "
+                  "\"runs\": %d, \"wall_ms\": %.3f, \"%s\": %.6f, "
+                  "\"%s_min\": %.6f, \"%s_max\": %.6f}",
+                  JsonEscape(figure).c_str(), point,
+                  static_cast<unsigned long long>(seed), runs, wall_ms, metric,
+                  median, metric, min, metric, max);
+    writer_.AddRow(buf);
+  }
+
   /// Per-channel row of a sharded run (multi-channel benches). Lands
   /// in the document's "channels" section and bumps the artifact to
   /// schema version 2.

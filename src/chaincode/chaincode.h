@@ -20,7 +20,10 @@ struct Invocation {
 /// Base class for smart contracts ("chaincode" in Fabric jargon).
 /// Implementations must be deterministic functions of (stub, inv):
 /// every endorsing peer runs the same invocation against its own
-/// view of the world state.
+/// view of the world state. Endorsers whose views are at the same
+/// height therefore share a single Invoke (the channel store's
+/// GetOrSimulate), so an implementation must not count or otherwise
+/// depend on being invoked once per endorser.
 class Chaincode {
  public:
   virtual ~Chaincode() = default;

@@ -76,6 +76,8 @@ class ZipfianGenerator {
   double alpha_;
   double eta_;
   double zeta2theta_;
+  /// theta == 1 only: cdf_[i] is the probability of ranks 0..i.
+  std::vector<double> cdf_;
 };
 
 }  // namespace fabricsim

@@ -65,41 +65,57 @@ void Peer::HandleProposal(ProposalRequest request) {
     HandleProposalAdmitted(std::move(request));
     return;
   }
-  auto result = std::make_shared<EndorsementResult>();
-  auto executed = std::make_shared<bool>(false);
+  auto simulation = std::make_shared<std::shared_ptr<const SharedSimulation>>();
   auto req = std::make_shared<ProposalRequest>(std::move(request));
   endorse_queue_.Submit(
       *env_,
-      [this, result, executed, req]() -> SimTime {
+      [this, simulation, req]() -> SimTime {
         if (!alive_) return 0;  // crashed while queued: abandon silently
-        ChannelLedger& ch = Channel(req->channel);
-        // Chaincode simulation against the endorsement view *as of
-        // now* — the staleness of this view is the root of both
-        // endorsement mismatches and MVCC conflicts.
-        *result = SimulateProposal(*ch.endorse_view, *ch.chaincode,
-                                   req->invocation,
-                                   db_profile_.supports_rich_queries);
-        *executed = true;
-        SimTime service = timing_.proposal_overhead +
-                          db_profile_.EndorseCost(result->rwset) +
-                          timing_.endorsement_sign_cost;
-        return static_cast<SimTime>(static_cast<double>(service) *
-                                    JitterFactor());
+        *simulation = Simulate(*req);
+        return EndorseServiceTime(**simulation);
       },
-      [this, result, executed, req]() {
-        if (!*executed || !alive_) {
+      [this, simulation, req]() {
+        if (*simulation == nullptr || !alive_) {
           ++proposals_dropped_;
           return;
         }
-        ProposalResponse response;
-        response.tx_id = req->tx_id;
-        response.app_ok = result->app_status.ok();
-        response.app_error = result->app_status.message();
-        response.rwset = std::move(result->rwset);
-        response.endorsement = Endorsement{
-            id_, org_, response.rwset.Digest(), /*signature_valid=*/true};
-        req->reply(response);
+        ReplyEndorsed(*req, **simulation);
       });
+}
+
+std::shared_ptr<const SharedSimulation> Peer::Simulate(
+    const ProposalRequest& request) {
+  ChannelLedger& ch = Channel(request.channel);
+  // Chaincode simulation against the endorsement view *as of now* —
+  // the staleness of this view is the root of both endorsement
+  // mismatches and MVCC conflicts. Chaincode is deterministic, so
+  // every endorser at this height shares one simulation.
+  const StateView& view = *ch.endorse_view;
+  const bool rich = db_profile_.supports_rich_queries;
+  return ch.store->GetOrSimulate(
+      view.height(), ch.chaincode, rich, request.invocation, [&] {
+        return SimulateProposal(view, *ch.chaincode, request.invocation,
+                                rich);
+      });
+}
+
+SimTime Peer::EndorseServiceTime(const SharedSimulation& simulation) {
+  SimTime service = timing_.proposal_overhead +
+                    db_profile_.EndorseCost(simulation.result.rwset) +
+                    timing_.endorsement_sign_cost;
+  return static_cast<SimTime>(static_cast<double>(service) * JitterFactor());
+}
+
+void Peer::ReplyEndorsed(const ProposalRequest& request,
+                         const SharedSimulation& simulation) {
+  ProposalResponse response;
+  response.tx_id = request.tx_id;
+  response.app_ok = simulation.result.app_status.ok();
+  response.app_error = simulation.result.app_status.message();
+  response.rwset = simulation.result.rwset;
+  response.endorsement =
+      Endorsement{id_, org_, simulation.digest, /*signature_valid=*/true};
+  request.reply(response);
 }
 
 void Peer::CancelProposal(TxId tx_id) {
@@ -214,16 +230,8 @@ void Peer::HandleProposalAdmitted(ProposalRequest request) {
           if (admission_stats_ != nullptr) admission_stats_->NoteShed(org_);
           return 0;
         }
-        ChannelLedger& ch = Channel(entry->req.channel);
-        entry->result = SimulateProposal(*ch.endorse_view, *ch.chaincode,
-                                         entry->req.invocation,
-                                         db_profile_.supports_rich_queries);
-        entry->executed = true;
-        SimTime service = timing_.proposal_overhead +
-                          db_profile_.EndorseCost(entry->result.rwset) +
-                          timing_.endorsement_sign_cost;
-        return static_cast<SimTime>(static_cast<double>(service) *
-                                    JitterFactor());
+        entry->simulation = Simulate(entry->req);
+        return EndorseServiceTime(*entry->simulation);
       },
       [this, entry]() {
         if (entry->cancelled) return;  // reply sent at eviction
@@ -235,18 +243,11 @@ void Peer::HandleProposalAdmitted(ProposalRequest request) {
           SendRejectReply(entry->req, entry->refusal);
           return;
         }
-        if (!entry->executed || !alive_) {
+        if (entry->simulation == nullptr || !alive_) {
           ++proposals_dropped_;
           return;
         }
-        ProposalResponse response;
-        response.tx_id = entry->req.tx_id;
-        response.app_ok = entry->result.app_status.ok();
-        response.app_error = entry->result.app_status.message();
-        response.rwset = std::move(entry->result.rwset);
-        response.endorsement = Endorsement{
-            id_, org_, response.rwset.Digest(), /*signature_valid=*/true};
-        entry->req.reply(response);
+        ReplyEndorsed(entry->req, *entry->simulation);
       });
 }
 

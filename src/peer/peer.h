@@ -237,12 +237,23 @@ class Peer {
     bool cancelled = false;
     /// Refused at dequeue (deadline / CoDel); reply sent at drain.
     ProposalReject refusal = ProposalReject::kNone;
-    bool executed = false;
-    EndorsementResult result;
+    /// Set once the proposal was executed.
+    std::shared_ptr<const SharedSimulation> simulation;
   };
 
   /// HandleProposal body when an AdmissionConfig is active.
   void HandleProposalAdmitted(ProposalRequest request);
+  /// Executes the proposal against the endorsement view, through the
+  /// channel store's simulation shared by endorsers at one height.
+  std::shared_ptr<const SharedSimulation> Simulate(
+      const ProposalRequest& request);
+  /// Endorsement service time for `simulation`'s rw-set (draws the
+  /// jitter factor).
+  SimTime EndorseServiceTime(const SharedSimulation& simulation);
+  /// Sends the endorsement of `simulation` (its own copy of the rw-set
+  /// and the shared digest).
+  void ReplyEndorsed(const ProposalRequest& request,
+                     const SharedSimulation& simulation);
   /// Sends the refusal response back to the client (same reply path as
   /// a served endorsement, so it costs one network hop).
   void SendRejectReply(const ProposalRequest& request, ProposalReject why);

@@ -1,6 +1,7 @@
 #include "src/statedb/versioned_state_store.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "src/peer/committer.h"
@@ -36,6 +37,27 @@ std::shared_ptr<const ValidationOutcome> VersionedStateStore::GetOrValidate(
     it->second.outcome = std::make_shared<const ValidationOutcome>(validate());
   }
   return it->second.outcome;
+}
+
+size_t VersionedStateStore::live_simulations() const {
+  size_t count = 0;
+  for (const auto& [height, bucket] : simulations_) count += bucket.size();
+  return count;
+}
+
+uint64_t VersionedStateStore::SimulationHash(const Chaincode* chaincode,
+                                             bool rich_queries,
+                                             const Invocation& invocation) {
+  // boost::hash_combine's step, widened to 64 bits.
+  auto mix = [](uint64_t h, uint64_t v) {
+    return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+  };
+  const std::hash<std::string> hash;
+  uint64_t h = mix(reinterpret_cast<uintptr_t>(chaincode), rich_queries);
+  h = mix(h, hash(invocation.function));
+  h = mix(h, invocation.args.size());
+  for (const std::string& arg : invocation.args) h = mix(h, hash(arg));
+  return h;
 }
 
 uint64_t VersionedStateStore::ContentHash(
@@ -96,6 +118,12 @@ Status VersionedStateStore::Advance(CursorId cursor, uint64_t height) {
 }
 
 void VersionedStateStore::Collect() {
+  for (auto it = simulations_.begin(); it != simulations_.end();) {
+    const bool held =
+        std::find(cursors_.begin(), cursors_.end(), it->first) !=
+        cursors_.end();
+    it = held ? std::next(it) : simulations_.erase(it);
+  }
   const uint64_t min = min_height();
   if (min <= floor_) return;
   floor_ = min;

@@ -8,14 +8,26 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/chaincode/chaincode.h"
 #include "src/ledger/block.h"
+#include "src/peer/endorser.h"
 #include "src/peer/validator.h"
 #include "src/statedb/state_backend.h"
 #include "src/statedb/state_database.h"
 
 namespace fabricsim {
+
+/// One chaincode simulation shared by every endorser that runs the
+/// same invocation at the same height. Immutable once built.
+struct SharedSimulation {
+  EndorsementResult result;
+  /// result.rwset.Digest(), hashed once.
+  uint64_t digest = 0;
+};
 
 /// One channel's world state, shared by every peer that serves the
 /// channel.
@@ -33,7 +45,11 @@ namespace fabricsim {
 ///    the later blocks' writes undone;
 ///  * each block's shared **ValidationOutcome** and its memoized
 ///    content hash, computed once and kept until every cursor has
-///    committed past the block.
+///    committed past the block;
+///  * **shared simulations** — chaincode is deterministic, so every
+///    endorser at one height produces the same rw-set; the first
+///    endorser's simulation (and its digest) serves the others, and
+///    lives while some cursor sits at its height.
 ///
 /// Readers are *cursors*: each peer's committed height on the channel,
 /// plus FabricSharp's lagging endorsement snapshot. A StateView reads
@@ -82,6 +98,18 @@ class VersionedStateStore {
   uint64_t ContentHash(const std::shared_ptr<const Block>& block,
                        const std::shared_ptr<const ValidationOutcome>& outcome);
 
+  /// The simulation of `invocation` by `chaincode` at `height` (with
+  /// or without rich queries), shared by every caller with an equal
+  /// key: `simulate` (a callable returning EndorsementResult) runs only
+  /// for the first. The key is hashed to 64 bits and a hit confirmed
+  /// by full equality; on a hash collision the caller simulates
+  /// without caching. Entries at a height no cursor holds are dropped
+  /// on the next cursor move.
+  template <typename Simulate>
+  std::shared_ptr<const SharedSimulation> GetOrSimulate(
+      uint64_t height, const Chaincode* chaincode, bool rich_queries,
+      const Invocation& invocation, Simulate&& simulate);
+
   /// Advances `cursor` from number - 1 to `number`. The first cursor
   /// to commit a block applies its updates to the head, recording
   /// before-images; later cursors only move.
@@ -121,6 +149,8 @@ class VersionedStateStore {
   }
   /// Validation outcomes still held for some cursor.
   size_t live_outcomes() const { return outcomes_.size(); }
+  /// Shared simulations still held, over all heights.
+  size_t live_simulations() const;
 
  private:
   /// A key's value just before `block` first wrote it.
@@ -140,6 +170,19 @@ class VersionedStateStore {
     std::shared_ptr<const Block> hashed_block;
     uint64_t content_hash = 0;
   };
+  /// A shared simulation and the rest of its key (the height is the
+  /// bucket's).
+  struct SimulationEntry {
+    const Chaincode* chaincode = nullptr;
+    bool rich_queries = false;
+    Invocation invocation;
+    std::shared_ptr<const SharedSimulation> simulation;
+  };
+  /// One height's simulations, by SimulationHash.
+  using SimulationBucket = std::unordered_map<uint64_t, SimulationEntry>;
+
+  static uint64_t SimulationHash(const Chaincode* chaincode, bool rich_queries,
+                                 const Invocation& invocation);
 
   /// The before-image that decides `chain`'s key at `height`: the
   /// first one logged above it. nullptr when the head value stands.
@@ -156,7 +199,8 @@ class VersionedStateStore {
   void MergeAt(uint64_t height, const std::string& start_key,
                const std::string& end_key, WalkHead walk_head,
                Project project, Emit emit) const;
-  /// Drops log entries and outcomes at or below min_height().
+  /// Drops simulations at heights no cursor holds, and log entries
+  /// and outcomes at or below min_height().
   void Collect();
 
   std::unique_ptr<StateDatabase> head_;
@@ -166,6 +210,7 @@ class VersionedStateStore {
   std::deque<BlockLog> blocks_;
   size_t before_image_count_ = 0;
   std::map<uint64_t, OutcomeEntry> outcomes_;
+  std::map<uint64_t, SimulationBucket> simulations_;
   /// Highest height collected so far; new cursors start here.
   uint64_t floor_ = 0;
 };
@@ -214,6 +259,30 @@ class StateView final : public StateDatabase {
   const VersionedStateStore* store_;
   VersionedStateStore::CursorId cursor_;
 };
+
+template <typename Simulate>
+std::shared_ptr<const SharedSimulation> VersionedStateStore::GetOrSimulate(
+    uint64_t height, const Chaincode* chaincode, bool rich_queries,
+    const Invocation& invocation, Simulate&& simulate) {
+  auto run = [&] {
+    EndorsementResult result = simulate();
+    const uint64_t digest = result.rwset.Digest();
+    return std::make_shared<const SharedSimulation>(
+        SharedSimulation{std::move(result), digest});
+  };
+  auto [it, inserted] = simulations_[height].try_emplace(
+      SimulationHash(chaincode, rich_queries, invocation));
+  SimulationEntry& entry = it->second;
+  if (inserted) {
+    entry = SimulationEntry{chaincode, rich_queries, invocation, run()};
+  } else if (entry.chaincode != chaincode ||
+             entry.rich_queries != rich_queries ||
+             entry.invocation.function != invocation.function ||
+             entry.invocation.args != invocation.args) {
+    return run();  // hash collision: correct, just not shared
+  }
+  return entry.simulation;
+}
 
 }  // namespace fabricsim
 

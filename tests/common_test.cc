@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -172,6 +174,57 @@ TEST(ZipfianTest, SkewOneSupported) {
     counts[rank]++;
   }
   EXPECT_GT(counts[0], counts[50]);
+}
+
+// The linear inverse-CDF scan NextRank used for theta == 1 before it
+// kept a cumulative table; the table's binary search must draw the
+// same ranks bit for bit.
+class LinearScanZipfOne {
+ public:
+  explicit LinearScanZipfOne(uint64_t n) : n_(n) {
+    for (uint64_t i = 1; i <= n_; ++i) {
+      zetan_ += 1.0 / std::pow(static_cast<double>(i), 1.0);
+    }
+  }
+
+  uint64_t NextRank(Rng& rng) const {
+    double u = rng.UniformDouble();
+    double uz = u * zetan_;
+    if (uz < 1.0) return 0;
+    if (uz < 1.0 + std::pow(0.5, 1.0)) return 1;
+    double cum = 0.0;
+    for (uint64_t i = 1; i <= n_; ++i) {
+      cum += 1.0 / (static_cast<double>(i) * zetan_);
+      if (u <= cum) return i - 1;
+    }
+    return n_ - 1;
+  }
+
+ private:
+  uint64_t n_;
+  double zetan_ = 0.0;
+};
+
+TEST(ZipfianTest, SkewOneTableMatchesLinearScan) {
+  for (uint64_t n : {1u, 2u, 12u, 100u, 12500u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    ZipfianGenerator zipf(n, 1.0);
+    LinearScanZipfOne reference(n);
+    Rng got_rng(43, n), want_rng(43, n);
+    std::vector<uint64_t> counts(n, 0);
+    for (int i = 0; i < 100000; ++i) {
+      uint64_t got = zipf.NextRank(got_rng);
+      ASSERT_EQ(got, reference.NextRank(want_rng)) << "draw " << i;
+      ++counts[got];
+    }
+    EXPECT_EQ(got_rng.NextU64(), want_rng.NextU64());
+    // Deep ranks are reached too, not just the two closed-form ones.
+    if (n > 2) {
+      EXPECT_GT(std::count_if(counts.begin() + 2, counts.end(),
+                              [](uint64_t c) { return c > 0; }),
+                0);
+    }
+  }
 }
 
 TEST(ZipfianTest, HigherSkewConcentratesMore) {

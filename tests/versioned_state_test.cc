@@ -5,7 +5,10 @@
 // (CommitStateUpdates on an own StateDatabase), and are compared with
 // the views through every read path — point, version, range, version
 // range, full scan and size — including deleted keys and keys inserted
-// above a view's height. Runs over every state backend.
+// above a view's height. Runs over every state backend. Shared
+// chaincode simulations are checked at both levels: the store's key
+// and lifetime rules, and a network that endorses with fewer chaincode
+// invocations than endorsements while reproducing its golden results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/strings.h"
 #include "src/core/experiment.h"
+#include "src/core/failure_report.h"
+#include "src/core/invariants.h"
 #include "src/fabric/fabric_network.h"
 #include "src/peer/committer.h"
 #include "src/statedb/versioned_state_store.h"
@@ -229,6 +235,137 @@ TEST(VersionedState, ContentHashIsMemoizedPerBlockObject) {
             BlockContentHash(*copy, outcome->results));
   EXPECT_NE(store.ContentHash(copy, outcome), want);
   EXPECT_EQ(store.ContentHash(block, outcome), want);
+}
+
+// Forwards to another chaincode and counts Invoke calls.
+class CountingChaincode : public Chaincode {
+ public:
+  explicit CountingChaincode(std::shared_ptr<Chaincode> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  std::vector<WriteItem> BootstrapState() const override {
+    return inner_->BootstrapState();
+  }
+  Status Invoke(ChaincodeStub& stub, const Invocation& inv) override {
+    ++invokes_;
+    return inner_->Invoke(stub, inv);
+  }
+  std::vector<std::string> Functions() const override {
+    return inner_->Functions();
+  }
+
+  uint64_t invokes() const { return invokes_; }
+
+ private:
+  std::shared_ptr<Chaincode> inner_;
+  uint64_t invokes_ = 0;
+};
+
+// A simulate callable that counts its calls and writes `tag`.
+struct CountingSimulate {
+  int* calls;
+  std::string tag;
+  EndorsementResult operator()() const {
+    ++*calls;
+    EndorsementResult result;
+    result.rwset.writes.push_back(Put("k", tag));
+    return result;
+  }
+};
+
+TEST(VersionedState, EqualSimulationKeysShareOneSimulation) {
+  VersionedStateStore store;
+  store.AddCursor();
+  CountingChaincode cc_a(nullptr), cc_b(nullptr);
+  const Invocation inv{"read", {"k1", "k2"}};
+  int calls = 0;
+  auto first = store.GetOrSimulate(0, &cc_a, false, inv,
+                                   CountingSimulate{&calls, "first"});
+  auto again = store.GetOrSimulate(0, &cc_a, false, Invocation(inv),
+                                   CountingSimulate{&calls, "again"});
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(first.get(), again.get());
+  EXPECT_EQ(first->result.rwset.writes[0].value, "first");
+  EXPECT_EQ(first->digest, first->result.rwset.Digest());
+  EXPECT_EQ(store.live_simulations(), 1u);
+
+  // Each key component on its own makes a separate simulation.
+  const Invocation other_function{"write", {"k1", "k2"}};
+  const Invocation other_arg{"read", {"k1", "k3"}};
+  const Invocation fewer_args{"read", {"k1"}};
+  store.GetOrSimulate(1, &cc_a, false, inv, CountingSimulate{&calls, "h"});
+  store.GetOrSimulate(0, &cc_a, false, other_function,
+                      CountingSimulate{&calls, "f"});
+  store.GetOrSimulate(0, &cc_a, false, other_arg,
+                      CountingSimulate{&calls, "a"});
+  store.GetOrSimulate(0, &cc_a, false, fewer_args,
+                      CountingSimulate{&calls, "n"});
+  store.GetOrSimulate(0, &cc_b, false, inv, CountingSimulate{&calls, "c"});
+  store.GetOrSimulate(0, &cc_a, true, inv, CountingSimulate{&calls, "r"});
+  EXPECT_EQ(calls, 7);
+  EXPECT_EQ(store.live_simulations(), 7u);
+  EXPECT_EQ(store.GetOrSimulate(0, &cc_a, true, inv,
+                                CountingSimulate{&calls, "x"})
+                ->result.rwset.writes[0]
+                .value,
+            "r");
+  EXPECT_EQ(calls, 7);
+}
+
+TEST(VersionedState, SimulationsLiveWhileACursorHoldsTheirHeight) {
+  VersionedStateStore store;
+  VersionedStateStore::CursorId a = store.AddCursor();
+  VersionedStateStore::CursorId b = store.AddCursor();
+  CountingChaincode cc(nullptr);
+  const Invocation inv{"read", {"k"}};
+  int calls = 0;
+  store.GetOrSimulate(0, &cc, false, inv, CountingSimulate{&calls, "0"});
+  // Height 5 is held by no cursor.
+  store.GetOrSimulate(5, &cc, false, inv, CountingSimulate{&calls, "5"});
+  ValidationOutcome empty;
+  ASSERT_TRUE(store.Commit(a, 1, empty).ok());
+  EXPECT_EQ(store.live_simulations(), 1u);  // b still sits at 0
+  store.GetOrSimulate(1, &cc, false, inv, CountingSimulate{&calls, "1"});
+  ASSERT_TRUE(store.Commit(b, 1, empty).ok());
+  EXPECT_EQ(store.live_simulations(), 1u);  // only height 1's
+  store.GetOrSimulate(1, &cc, false, inv, CountingSimulate{&calls, "1"});
+  EXPECT_EQ(calls, 3);
+}
+
+TEST(VersionedState, FrozenCursorKeepsOnlyItsOwnHeightsSimulations) {
+  VersionedStateStore store;
+  VersionedStateStore::CursorId frozen = store.AddCursor();
+  VersionedStateStore::CursorId a = store.AddCursor();
+  VersionedStateStore::CursorId b = store.AddCursor();
+  CountingChaincode cc(nullptr);
+  int calls = 0;
+  auto simulate_at = [&](uint64_t height, const std::string& key) {
+    return store.GetOrSimulate(height, &cc, false, Invocation{"read", {key}},
+                               CountingSimulate{&calls, key});
+  };
+  ValidationOutcome empty;
+  ASSERT_TRUE(store.Commit(frozen, 1, empty).ok());
+  auto kept = simulate_at(1, "x");
+  simulate_at(1, "y");
+  for (uint64_t n = 1; n <= 50; ++n) {
+    ASSERT_TRUE(store.Commit(a, n, empty).ok());
+    ASSERT_TRUE(store.Commit(b, n, empty).ok());
+    simulate_at(n, "z");
+    // Bounded by the distinct cursor heights, not by the run length.
+    EXPECT_LE(store.live_simulations(), 4u);
+  }
+  // Height 1 keeps x, y and z; of the heights a and b passed, only
+  // the one they sit at survives.
+  EXPECT_EQ(store.live_simulations(), 4u);
+  const int before = calls;
+  EXPECT_EQ(simulate_at(1, "x").get(), kept.get());
+  simulate_at(1, "y");
+  simulate_at(1, "z");
+  simulate_at(50, "z");
+  EXPECT_EQ(calls, before);
+  simulate_at(25, "z");  // collected: simulated again
+  EXPECT_EQ(calls, before + 1);
 }
 
 // Random blocks of upserts and deletes (some to keys outside the
@@ -483,6 +620,117 @@ TEST(VersionedState, AllAliveRunKeepsTheLogBounded) {
     EXPECT_LT(stats.max_spread, 5u);
     if (::testing::Test::HasFailure()) return;
   }
+}
+
+// ---------------------------------------------------------------------
+// Network-level shared simulations
+// ---------------------------------------------------------------------
+
+// The exhaustive numeric fingerprint of channel_test.cc and
+// fault_test.cc, so the runs below compare with their goldens.
+std::string Fingerprint(const FailureReport& r) {
+  std::string out;
+  out += StrFormat(
+      "ledger=%llu valid=%llu endorse=%llu mvcc_intra=%llu "
+      "mvcc_inter=%llu phantom=%llu submitted=%llu app=%llu\n",
+      static_cast<unsigned long long>(r.ledger_txs),
+      static_cast<unsigned long long>(r.valid_txs),
+      static_cast<unsigned long long>(r.endorsement_failures),
+      static_cast<unsigned long long>(r.mvcc_intra),
+      static_cast<unsigned long long>(r.mvcc_inter),
+      static_cast<unsigned long long>(r.phantom),
+      static_cast<unsigned long long>(r.submitted_txs),
+      static_cast<unsigned long long>(r.app_errors));
+  out += StrFormat("pct=%.17g/%.17g/%.17g/%.17g/%.17g\n", r.total_failure_pct,
+                   r.endorsement_pct, r.mvcc_pct, r.phantom_pct,
+                   r.early_abort_pct);
+  out += StrFormat("lat=%.17g/%.17g/%.17g tput=%.17g/%.17g\n", r.avg_latency_s,
+                   r.p50_latency_s, r.p99_latency_s, r.committed_throughput_tps,
+                   r.valid_throughput_tps);
+  return out;
+}
+
+// ChannelGoldenTest's kGoldenCompat and FaultGoldenTest's
+// kGoldenDelayedOrg: default C1, 20 s at 100 tps, seed 42, without and
+// with Fig. 16's 100 +- 10 ms on org 1.
+constexpr char kGoldenDefault[] =
+    "ledger=1998 valid=889 endorse=21 mvcc_intra=808 mvcc_inter=280 "
+    "phantom=0 submitted=1998 app=0\n"
+    "pct=55.505505505505504/1.0510510510510511/54.454454454454456/0/0\n"
+    "lat=0.79166268968969022/0.75911118027396884/2.02848615705734 "
+    "tput=95/44.450000000000003\n";
+constexpr char kGoldenDelayedOrg[] =
+    "ledger=1998 valid=794 endorse=134 mvcc_intra=556 mvcc_inter=514 "
+    "phantom=0 submitted=1998 app=0\n"
+    "pct=60.26026026026026/6.706706706706707/53.553553553553556/0/0\n"
+    "lat=0.98395471171171112/0.95217126197147772/2.2089206563091031 "
+    "tput=95/39.700000000000003\n";
+// Peer 0's final chain hash in the same two runs, recorded when every
+// endorser still ran its own simulation.
+constexpr uint64_t kGoldenDefaultChainHash = 0x80c4a69af2132b5eull;
+constexpr uint64_t kGoldenDelayedOrgChainHash = 0xb6f5021ca081db75ull;
+
+struct CountedRun {
+  std::string fingerprint;
+  uint64_t chain_hash = 0;
+  uint64_t invokes = 0;
+  /// Endorsements carried by the ledger's transactions: a lower bound
+  /// on the endorsements peers served.
+  uint64_t endorsements = 0;
+};
+
+// RunOnce's path with ehr wrapped in a CountingChaincode.
+CountedRun RunCounted(const ExperimentConfig& config, uint64_t seed) {
+  auto chaincode = std::make_shared<CountingChaincode>(
+      MakeChaincodeFor(config.workload).value());
+  const bool rich = config.fabric.db_type == DatabaseType::kCouchDb;
+  auto workload = std::shared_ptr<WorkloadGenerator>(
+      std::move(MakeWorkload(config.workload, rich).value()));
+  Environment env(seed);
+  FabricNetwork network(config.fabric, &env, chaincode, workload);
+  EXPECT_TRUE(network.Init().ok());
+  network.set_channel_affinity(config.workload.channel_affinity);
+  network.StartLoad(config.arrival_rate_tps, config.duration);
+  env.RunAll();
+  EXPECT_TRUE(CheckChainIntegrity(network).ok());
+
+  CountedRun run;
+  run.fingerprint = Fingerprint(BuildFailureReport(
+      std::vector<const BlockStore*>{&network.ledger()}, network.stats(),
+      config.duration, network.tracer(), network.admission_stats()));
+  run.chain_hash = network.peers()[0]->chain_records().back().chain_hash;
+  run.invokes = chaincode->invokes();
+  for (const Block& block : network.ledger().blocks()) {
+    for (const Transaction& tx : block.txs) {
+      run.endorsements += tx.endorsements.size();
+    }
+  }
+  return run;
+}
+
+ExperimentConfig C1GoldenConfig() {
+  ExperimentConfig config = ExperimentConfig::Defaults();
+  config.duration = 20 * kSecond;
+  config.arrival_rate_tps = 100;
+  return config;
+}
+
+TEST(VersionedState, EndorsersAtOneHeightShareOneInvocation) {
+  CountedRun plain = RunCounted(C1GoldenConfig(), 42);
+  EXPECT_EQ(plain.fingerprint, kGoldenDefault);
+  EXPECT_EQ(plain.chain_hash, kGoldenDefaultChainHash);
+  EXPECT_LT(plain.invokes, plain.endorsements);
+
+  // A delayed org endorses at lagging heights, so fewer endorsements
+  // find a shared simulation.
+  ExperimentConfig delayed = C1GoldenConfig();
+  delayed.fabric.delayed_org = 1;
+  delayed.fabric.injected_delay = 100 * kMillisecond;
+  delayed.fabric.injected_delay_jitter = 10 * kMillisecond;
+  CountedRun lagging = RunCounted(delayed, 42);
+  EXPECT_EQ(lagging.fingerprint, kGoldenDelayedOrg);
+  EXPECT_EQ(lagging.chain_hash, kGoldenDelayedOrgChainHash);
+  EXPECT_GT(lagging.invokes, plain.invokes);
 }
 
 }  // namespace
