@@ -71,8 +71,10 @@ void BM_ConflictGraphBuild(benchmark::State& state) {
     Transaction tx;
     tx.id = static_cast<TxId>(t + 1);
     std::string key = "k" + std::to_string(rng.UniformU64(50));
-    tx.rwset.reads.push_back(ReadItem{key, {0, 0}, true});
-    tx.rwset.writes.push_back(WriteItem{key, "v", false});
+    ReadWriteSet rwset;
+    rwset.reads.push_back(ReadItem{key, {0, 0}, true});
+    rwset.writes.push_back(WriteItem{key, "v", false});
+    tx.rwset = SealedRwSet(std::move(rwset));
     txs.push_back(std::move(tx));
   }
   for (auto _ : state) {

@@ -120,27 +120,30 @@ void Client::Submit(TxId tx_id, Invocation invocation, int resubmit_count,
     return;
   }
   if (p_.admission != nullptr) pending.proposed_peers = targets;
-  in_flight_.emplace(tx_id, std::move(pending));
+  const PendingTx& entry =
+      in_flight_.emplace(tx_id, std::move(pending)).first->second;
 
-  for (Peer* peer : targets) SendProposal(tx_id, peer, /*attempt=*/0);
+  for (Peer* peer : targets) SendProposal(tx_id, entry, peer, /*attempt=*/0);
   if (p_.retry.retries_enabled()) ScheduleEndorseTimeout(tx_id, 0);
 }
 
-void Client::SendProposal(TxId tx_id, Peer* peer, int attempt) {
+void Client::SendProposal(TxId tx_id, const PendingTx& pending, Peer* peer,
+                          int attempt) {
   ProposalRequest request;
   request.tx_id = tx_id;
-  request.channel = in_flight_[tx_id].channel;
-  request.invocation = in_flight_[tx_id].invocation;
-  request.deadline = in_flight_[tx_id].deadline;
+  request.channel = pending.channel;
+  request.invocation = pending.invocation;
+  request.deadline = pending.deadline;
   NodeId peer_node = peer->node();
   if (Tracer* tracer = p_.env->tracer()) {
     tracer->OnEndorseRequest(tx_id, peer->id(), peer->org(), attempt,
                              p_.env->now());
   }
   request.reply = [this, peer_node](const ProposalResponse& response) {
-    uint64_t bytes = response.rwset.ByteSize() + 96;
-    // Large rw-sets (DV/SCM range scans) make responses heavy; ship
-    // one copy through the network callback.
+    uint64_t bytes = response.rwset.byte_size() + 96;
+    // Large rw-sets (DV/SCM range scans) make responses heavy on the
+    // wire; in memory the sealed rw-set is shared, and one copy of the
+    // response rides the network callback.
     auto shared = std::make_shared<ProposalResponse>(response);
     p_.net->Send(*p_.env, peer_node, p_.node, bytes,
                  [this, shared]() { OnEndorsement(std::move(*shared)); });
@@ -211,7 +214,7 @@ void Client::OnEndorseTimeout(TxId tx_id, int attempt) {
                             static_cast<uint64_t>(next_attempt)) %
                            org_peers.size()];
     if (p_.admission != nullptr) pending.proposed_peers.push_back(peer);
-    SendProposal(tx_id, peer, next_attempt);
+    SendProposal(tx_id, pending, peer, next_attempt);
   }
   ScheduleEndorseTimeout(tx_id, next_attempt);
 }
@@ -378,7 +381,7 @@ void Client::FinalizeTx(TxId tx_id, PendingTx pending) {
     }
     tx.endorsements.push_back(r.endorsement);
   }
-  tx.read_only = tx.rwset.IsReadOnly();
+  tx.read_only = tx.rwset->IsReadOnly();
   if (Tracer* tracer = p_.env->tracer()) {
     tracer->OnEndorsed(tx_id, tx.read_only, p_.env->now());
   }

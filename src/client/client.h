@@ -202,7 +202,9 @@ class Client {
   /// first submissions and resubmissions.
   void Submit(TxId tx_id, Invocation invocation, int resubmit_count,
               ChannelId channel);
-  void SendProposal(TxId tx_id, Peer* peer, int attempt);
+  /// Sends `pending`'s proposal (its in_flight_ entry) to `peer`.
+  void SendProposal(TxId tx_id, const PendingTx& pending, Peer* peer,
+                    int attempt);
   void ScheduleEndorseTimeout(TxId tx_id, int attempt);
   void OnEndorseTimeout(TxId tx_id, int attempt);
   void OnEndorsement(ProposalResponse response);

@@ -18,7 +18,7 @@ ConflictGraph ConflictGraph::Build(const std::vector<Transaction>& txs,
   // Index writers per key.
   std::unordered_map<std::string, std::vector<uint32_t>> writers;
   for (uint32_t i = 0; i < n; ++i) {
-    for (const WriteItem& w : txs[i].rwset.writes) {
+    for (const WriteItem& w : txs[i].rwset->writes) {
       writers[w.key].push_back(i);
       ++*ops;
     }
@@ -39,8 +39,8 @@ ConflictGraph ConflictGraph::Build(const std::vector<Transaction>& txs,
     }
   };
   for (uint32_t u = 0; u < n; ++u) {
-    add_reads(u, txs[u].rwset.reads);
-    for (const RangeQueryInfo& rq : txs[u].rwset.range_queries) {
+    add_reads(u, txs[u].rwset->reads);
+    for (const RangeQueryInfo& rq : txs[u].rwset->range_queries) {
       add_reads(u, rq.reads);
       // A writer inserting a fresh key inside the interval also
       // invalidates the range; approximate by linking writers of keys

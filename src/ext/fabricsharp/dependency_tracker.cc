@@ -3,14 +3,14 @@
 namespace fabricsim {
 
 DependencyTracker::Decision DependencyTracker::Admit(const Transaction& tx) {
-  if (!tx.rwset.range_queries.empty()) {
+  if (!tx.rwset->range_queries.empty()) {
     return Decision::kRangeQuery;
   }
   if (!StillSerializable(tx)) return Decision::kStaleRead;
 
   // Seed first-seen read versions so later transactions are checked
   // against them.
-  for (const ReadItem& read : tx.rwset.reads) {
+  for (const ReadItem& read : tx.rwset->reads) {
     KeyState& state = keys_[read.key];
     if (!state.known) {
       state.committed = read.version;
@@ -19,14 +19,14 @@ DependencyTracker::Decision DependencyTracker::Admit(const Transaction& tx) {
     }
   }
   // Mark scheduled writes pending until the block is cut.
-  for (const WriteItem& write : tx.rwset.writes) {
+  for (const WriteItem& write : tx.rwset->writes) {
     keys_[write.key].pending++;
   }
   return Decision::kAdmit;
 }
 
 bool DependencyTracker::StillSerializable(const Transaction& tx) const {
-  for (const ReadItem& read : tx.rwset.reads) {
+  for (const ReadItem& read : tx.rwset->reads) {
     auto it = keys_.find(read.key);
     if (it == keys_.end()) continue;  // first sighting: trust the read
     const KeyState& state = it->second;
@@ -41,7 +41,7 @@ bool DependencyTracker::StillSerializable(const Transaction& tx) const {
 }
 
 void DependencyTracker::ReleasePending(const Transaction& tx) {
-  for (const WriteItem& write : tx.rwset.writes) {
+  for (const WriteItem& write : tx.rwset->writes) {
     auto it = keys_.find(write.key);
     if (it != keys_.end() && it->second.pending > 0) it->second.pending--;
   }
@@ -51,7 +51,7 @@ void DependencyTracker::OnBlockCut(
     const Block& block, const std::vector<Transaction>& aborted_at_cut) {
   for (uint32_t i = 0; i < block.txs.size(); ++i) {
     ReleasePending(block.txs[i]);
-    for (const WriteItem& write : block.txs[i].rwset.writes) {
+    for (const WriteItem& write : block.txs[i].rwset->writes) {
       KeyState& state = keys_[write.key];
       state.committed = Version{block.number, i};
       state.exists = !write.is_delete;

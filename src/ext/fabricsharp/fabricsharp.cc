@@ -95,8 +95,8 @@ SimTime FabricSharpProcessor::OnBlockCut(
   // point accesses, plus the serialization work actually performed.
   SimTime cost = static_cast<SimTime>(ops / 1000 * 14);
   for (const Transaction& tx : block->txs) {
-    cost += 20 * static_cast<SimTime>(tx.rwset.reads.size() +
-                                      tx.rwset.writes.size());
+    cost += 20 * static_cast<SimTime>(tx.rwset->reads.size() +
+                                      tx.rwset->writes.size());
   }
   return cost;
 }

@@ -231,9 +231,9 @@ Status FabricNetwork::Init() {
         leader->node(),
         [leader, members, net, env](std::shared_ptr<const Block> block) {
           leader->HandleBlock(block);
+          const uint64_t bytes = block->ByteSize();
           for (Peer* member : members) {
-            net->Send(*env, leader->node(), member->node(),
-                      block->ByteSize(),
+            net->Send(*env, leader->node(), member->node(), bytes,
                       [member, block]() { member->HandleBlock(block); });
           }
         }});

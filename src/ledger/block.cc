@@ -26,7 +26,7 @@ uint64_t BlockContentHash(const Block& block,
   for (const Transaction& tx : block.txs) {
     hash = Mix(hash, tx.id);
     hash = Mix(hash, tx.read_only ? 1 : 0);
-    hash = Mix(hash, tx.rwset.Digest());
+    hash = Mix(hash, tx.rwset.digest());
   }
   hash = Mix(hash, results.size());
   for (const TxValidationResult& result : results) {

@@ -41,6 +41,42 @@ uint64_t ReadWriteSet::ByteSize() const {
   return bytes;
 }
 
+namespace {
+
+void ShrinkReads(std::vector<ReadItem>& reads) {
+  reads.shrink_to_fit();
+  for (ReadItem& r : reads) r.key.shrink_to_fit();
+}
+
+}  // namespace
+
+SealedRwSet::SealedRwSet(ReadWriteSet set) {
+  // The stub grows these buffers by appending; a sealed set is kept
+  // for the life of every block that holds it, so trim them once.
+  ShrinkReads(set.reads);
+  set.writes.shrink_to_fit();
+  for (WriteItem& w : set.writes) {
+    w.key.shrink_to_fit();
+    w.value.shrink_to_fit();
+  }
+  set.range_queries.shrink_to_fit();
+  for (RangeQueryInfo& rq : set.range_queries) {
+    rq.start_key.shrink_to_fit();
+    rq.end_key.shrink_to_fit();
+    rq.rich_selector.shrink_to_fit();
+    ShrinkReads(rq.reads);
+  }
+  const uint64_t digest = set.Digest();
+  const uint64_t byte_size = set.ByteSize();
+  node_ = std::make_shared<const Node>(Node{std::move(set), digest, byte_size});
+}
+
+const SealedRwSet::Node& SealedRwSet::Empty() {
+  static const Node empty{ReadWriteSet{}, ReadWriteSet{}.Digest(),
+                          ReadWriteSet{}.ByteSize()};
+  return empty;
+}
+
 size_t ReadWriteSet::TotalReadCount() const {
   size_t n = reads.size();
   for (const RangeQueryInfo& rq : range_queries) n += rq.reads.size();

@@ -2,6 +2,7 @@
 #define FABRICSIM_LEDGER_RWSET_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,41 @@ struct ReadWriteSet {
   /// Total number of individual reads including those inside range
   /// queries; drives MVCC validation cost.
   size_t TotalReadCount() const;
+};
+
+/// An endorsed rw-set, sealed: immutable from the moment the endorser
+/// produces it, as the signature over it demands. Sealing computes the
+/// digest and byte size once; copies share one heap node, so the
+/// endorser's result, every response, the envelope and every block
+/// holding the transaction read the same object. Only const access
+/// exists, so digest() always equals Digest() of the content. A
+/// default-constructed handle points to one shared empty sealed set
+/// and allocates nothing.
+class SealedRwSet {
+ public:
+  SealedRwSet() = default;
+  /// Seals `set`, dropping its spare vector and string capacity.
+  explicit SealedRwSet(ReadWriteSet set);
+
+  const ReadWriteSet& operator*() const { return node().set; }
+  const ReadWriteSet* operator->() const { return &node().set; }
+  /// Digest() of the content, computed at sealing.
+  uint64_t digest() const { return node().digest; }
+  /// ByteSize() of the content, computed at sealing.
+  uint64_t byte_size() const { return node().byte_size; }
+
+ private:
+  struct Node {
+    ReadWriteSet set;
+    uint64_t digest = 0;
+    uint64_t byte_size = 0;
+  };
+  static const Node& Empty();
+  /// Null stands for the shared empty set (a default-constructed or
+  /// moved-from handle).
+  const Node& node() const { return node_ != nullptr ? *node_ : Empty(); }
+
+  std::shared_ptr<const Node> node_;
 };
 
 }  // namespace fabricsim

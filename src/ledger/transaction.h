@@ -88,8 +88,8 @@ struct Transaction {
   std::vector<std::string> args;
 
   /// The rw-set the client attached (taken from the endorsement
-  /// majority group).
-  ReadWriteSet rwset;
+  /// majority group): the endorser's sealed set, shared, not copied.
+  SealedRwSet rwset;
   std::vector<Endorsement> endorsements;
 
   /// True when the chaincode function performed no writes.
@@ -109,7 +109,7 @@ struct Transaction {
 
   /// Envelope payload size estimate (rw-set + endorsements).
   uint64_t ByteSize() const {
-    return rwset.ByteSize() + 96 * endorsements.size() + 64;
+    return rwset.byte_size() + 96 * endorsements.size() + 64;
   }
 };
 

@@ -195,8 +195,9 @@ void Orderer::CutBlock(std::vector<Transaction> txs, BlockCutReason reason) {
       *env_, [assembly]() -> SimTime { return assembly; },
       [this, block, consensus_latency]() {
         env_->Schedule(consensus_latency, [this, block]() {
+          const uint64_t bytes = block->ByteSize();
           for (const Params::PeerEndpoint& peer : peers_) {
-            net_->Send(*env_, node_, peer.node, block->ByteSize(),
+            net_->Send(*env_, node_, peer.node, bytes,
                        [deliver = peer.deliver, block]() { deliver(block); });
           }
         });

@@ -657,8 +657,9 @@ void RaftGroup::DeliverUpTo(OrdererReplica* leader, uint64_t commit_index) {
     }
     if (on_block_cut_) on_block_cut_(block);
     std::shared_ptr<const Block> const_block = block;
+    const uint64_t bytes = block->ByteSize();
     for (const Orderer::Params::PeerEndpoint& peer : peers_) {
-      net_->Send(*env_, leader->node(), peer.node, block->ByteSize(),
+      net_->Send(*env_, leader->node(), peer.node, bytes,
                  [deliver = peer.deliver, const_block]() {
                    deliver(const_block);
                  });

@@ -11,7 +11,7 @@ EndorsementResult SimulateProposal(const StateDatabase& view,
   EndorsementResult result;
   ChaincodeStub stub(view, rich_queries_supported);
   result.app_status = chaincode.Invoke(stub, invocation);
-  result.rwset = stub.TakeRwset();
+  result.rwset = SealedRwSet(stub.TakeRwset());
   return result;
 }
 

@@ -10,8 +10,9 @@ namespace fabricsim {
 
 /// Result of simulating a proposal on one endorsing peer.
 struct EndorsementResult {
-  /// The generated read/write set (meaningful when app_status is OK).
-  ReadWriteSet rwset;
+  /// The generated read/write set (meaningful when app_status is OK),
+  /// sealed: every response and envelope shares it.
+  SealedRwSet rwset;
   /// Chaincode-level outcome. A non-OK status means the endorser
   /// returns an error response and the client will drop the
   /// transaction — this is an application failure, not one of the

@@ -65,7 +65,8 @@ void Peer::HandleProposal(ProposalRequest request) {
     HandleProposalAdmitted(std::move(request));
     return;
   }
-  auto simulation = std::make_shared<std::shared_ptr<const SharedSimulation>>();
+  auto simulation =
+      std::make_shared<std::shared_ptr<const EndorsementResult>>();
   auto req = std::make_shared<ProposalRequest>(std::move(request));
   endorse_queue_.Submit(
       *env_,
@@ -83,7 +84,7 @@ void Peer::HandleProposal(ProposalRequest request) {
       });
 }
 
-std::shared_ptr<const SharedSimulation> Peer::Simulate(
+std::shared_ptr<const EndorsementResult> Peer::Simulate(
     const ProposalRequest& request) {
   ChannelLedger& ch = Channel(request.channel);
   // Chaincode simulation against the endorsement view *as of now* —
@@ -99,22 +100,22 @@ std::shared_ptr<const SharedSimulation> Peer::Simulate(
       });
 }
 
-SimTime Peer::EndorseServiceTime(const SharedSimulation& simulation) {
+SimTime Peer::EndorseServiceTime(const EndorsementResult& simulation) {
   SimTime service = timing_.proposal_overhead +
-                    db_profile_.EndorseCost(simulation.result.rwset) +
+                    db_profile_.EndorseCost(*simulation.rwset) +
                     timing_.endorsement_sign_cost;
   return static_cast<SimTime>(static_cast<double>(service) * JitterFactor());
 }
 
 void Peer::ReplyEndorsed(const ProposalRequest& request,
-                         const SharedSimulation& simulation) {
+                         const EndorsementResult& simulation) {
   ProposalResponse response;
   response.tx_id = request.tx_id;
-  response.app_ok = simulation.result.app_status.ok();
-  response.app_error = simulation.result.app_status.message();
-  response.rwset = simulation.result.rwset;
-  response.endorsement =
-      Endorsement{id_, org_, simulation.digest, /*signature_valid=*/true};
+  response.app_ok = simulation.app_status.ok();
+  response.app_error = simulation.app_status.message();
+  response.rwset = simulation.rwset;
+  response.endorsement = Endorsement{id_, org_, simulation.rwset.digest(),
+                                     /*signature_valid=*/true};
   request.reply(response);
 }
 
@@ -336,7 +337,7 @@ SimTime Peer::ValidationServiceTime(const Block& block,
     const Transaction& tx = block.txs[i];
     vscc += validator_.policy().VsccParallelCost(tx.endorsements.size());
     mvcc += validator_.policy().VsccSerialCost() +
-            db_profile_.ValidateCost(tx.rwset);
+            db_profile_.ValidateCost(*tx.rwset);
   }
   int parallelism = std::max(timing_.vscc_parallelism, 1);
   // Streamchain's pipelining/parallel validation speeds up the

@@ -51,7 +51,8 @@ enum class ProposalReject : uint8_t {
 struct ProposalResponse {
   TxId tx_id = 0;
   Endorsement endorsement;
-  ReadWriteSet rwset;
+  /// The endorser's sealed rw-set, shared with its simulation.
+  SealedRwSet rwset;
   bool app_ok = true;
   std::string app_error;
   /// Set when the endorser refused the proposal instead of executing
@@ -238,22 +239,22 @@ class Peer {
     /// Refused at dequeue (deadline / CoDel); reply sent at drain.
     ProposalReject refusal = ProposalReject::kNone;
     /// Set once the proposal was executed.
-    std::shared_ptr<const SharedSimulation> simulation;
+    std::shared_ptr<const EndorsementResult> simulation;
   };
 
   /// HandleProposal body when an AdmissionConfig is active.
   void HandleProposalAdmitted(ProposalRequest request);
   /// Executes the proposal against the endorsement view, through the
   /// channel store's simulation shared by endorsers at one height.
-  std::shared_ptr<const SharedSimulation> Simulate(
+  std::shared_ptr<const EndorsementResult> Simulate(
       const ProposalRequest& request);
   /// Endorsement service time for `simulation`'s rw-set (draws the
   /// jitter factor).
-  SimTime EndorseServiceTime(const SharedSimulation& simulation);
-  /// Sends the endorsement of `simulation` (its own copy of the rw-set
-  /// and the shared digest).
+  SimTime EndorseServiceTime(const EndorsementResult& simulation);
+  /// Sends the endorsement of `simulation`: its sealed rw-set and the
+  /// digest sealed with it.
   void ReplyEndorsed(const ProposalRequest& request,
-                     const SharedSimulation& simulation);
+                     const EndorsementResult& simulation);
   /// Sends the refusal response back to the client (same reply path as
   /// a served endorsement, so it costs one network hop).
   void SendRejectReply(const ProposalRequest& request, ProposalReject why);

@@ -14,8 +14,9 @@ bool EndorsementSatisfiesPolicy(const Transaction& tx,
   // client attached* count towards the policy. Endorsers that
   // simulated on a divergent world state produced a different rw-set,
   // so their signatures do not match the payload — the mechanism of
-  // the paper's endorsement policy failure (Eq. 1).
-  uint64_t attached_digest = tx.rwset.Digest();
+  // the paper's endorsement policy failure (Eq. 1). The attached set
+  // is sealed, so its cached digest is the digest of its content.
+  uint64_t attached_digest = tx.rwset.digest();
   std::set<OrgId> matching_orgs;
   for (const Endorsement& e : tx.endorsements) {
     if (e.signature_valid && e.rwset_digest == attached_digest) {
@@ -98,7 +99,7 @@ TxValidationResult Validator::ValidateTx(const StateDatabase& db,
   };
 
   // --- MVCC: point reads (paper Eq. 2) --------------------------------
-  for (const ReadItem& read : tx.rwset.reads) {
+  for (const ReadItem& read : tx.rwset->reads) {
     Resolved current = resolve(read.key);
     if (read.found) {
       if (!current.exists || current.version != read.version) {
@@ -113,7 +114,7 @@ TxValidationResult Validator::ValidateTx(const StateDatabase& db,
   }
 
   // --- Phantom reads: re-execute range queries (paper Eq. 5) ----------
-  for (const RangeQueryInfo& rq : tx.rwset.range_queries) {
+  for (const RangeQueryInfo& rq : tx.rwset->range_queries) {
     if (!rq.phantom_check) continue;  // rich queries are not re-checked
     // Merge the database range with the block-local overlay.
     std::map<std::string, Version> current_range;
@@ -205,7 +206,7 @@ ValidationOutcome Validator::ValidateBlock(const StateDatabase& db,
     if (result.code == TxValidationCode::kValid) {
       ++outcome.valid_count;
       Version version{block.number, i};
-      for (const WriteItem& write : tx.rwset.writes) {
+      for (const WriteItem& write : tx.rwset->writes) {
         overlay[write.key] = OverlayEntry{version, write.is_delete, i};
         outcome.state_updates.emplace_back(write, version);
       }

@@ -21,14 +21,6 @@
 
 namespace fabricsim {
 
-/// One chaincode simulation shared by every endorser that runs the
-/// same invocation at the same height. Immutable once built.
-struct SharedSimulation {
-  EndorsementResult result;
-  /// result.rwset.Digest(), hashed once.
-  uint64_t digest = 0;
-};
-
 /// One channel's world state, shared by every peer that serves the
 /// channel.
 ///
@@ -48,7 +40,7 @@ struct SharedSimulation {
 ///    committed past the block;
 ///  * **shared simulations** — chaincode is deterministic, so every
 ///    endorser at one height produces the same rw-set; the first
-///    endorser's simulation (and its digest) serves the others, and
+///    endorser's simulation (its sealed rw-set) serves the others, and
 ///    lives while some cursor sits at its height.
 ///
 /// Readers are *cursors*: each peer's committed height on the channel,
@@ -106,7 +98,7 @@ class VersionedStateStore {
   /// without caching. Entries at a height no cursor holds are dropped
   /// on the next cursor move.
   template <typename Simulate>
-  std::shared_ptr<const SharedSimulation> GetOrSimulate(
+  std::shared_ptr<const EndorsementResult> GetOrSimulate(
       uint64_t height, const Chaincode* chaincode, bool rich_queries,
       const Invocation& invocation, Simulate&& simulate);
 
@@ -176,7 +168,7 @@ class VersionedStateStore {
     const Chaincode* chaincode = nullptr;
     bool rich_queries = false;
     Invocation invocation;
-    std::shared_ptr<const SharedSimulation> simulation;
+    std::shared_ptr<const EndorsementResult> simulation;
   };
   /// One height's simulations, by SimulationHash.
   using SimulationBucket = std::unordered_map<uint64_t, SimulationEntry>;
@@ -261,14 +253,11 @@ class StateView final : public StateDatabase {
 };
 
 template <typename Simulate>
-std::shared_ptr<const SharedSimulation> VersionedStateStore::GetOrSimulate(
+std::shared_ptr<const EndorsementResult> VersionedStateStore::GetOrSimulate(
     uint64_t height, const Chaincode* chaincode, bool rich_queries,
     const Invocation& invocation, Simulate&& simulate) {
   auto run = [&] {
-    EndorsementResult result = simulate();
-    const uint64_t digest = result.rwset.Digest();
-    return std::make_shared<const SharedSimulation>(
-        SharedSimulation{std::move(result), digest});
+    return std::make_shared<const EndorsementResult>(simulate());
   };
   auto [it, inserted] = simulations_[height].try_emplace(
       SimulationHash(chaincode, rich_queries, invocation));

@@ -9,7 +9,9 @@ namespace {
 Transaction SmallTx(TxId id) {
   Transaction tx;
   tx.id = id;
-  tx.rwset.writes.push_back(WriteItem{"key", "value", false});
+  ReadWriteSet rwset;
+  rwset.writes.push_back(WriteItem{"key", "value", false});
+  tx.rwset = SealedRwSet(std::move(rwset));
   return tx;
 }
 
@@ -52,10 +54,12 @@ TEST(BlockCutterTest, CutsAtMaxBytes) {
 TEST(BlockCutterTest, OversizedTxGoesAlone) {
   Transaction big;
   big.id = 99;
+  ReadWriteSet rwset;
   for (int i = 0; i < 100; ++i) {
-    big.rwset.writes.push_back(
+    rwset.writes.push_back(
         WriteItem{"key" + std::to_string(i), std::string(100, 'x'), false});
   }
+  big.rwset = SealedRwSet(std::move(rwset));
   BlockCutter cutter(BlockCutter::Config{1000, 512});
   cutter.AddTransaction(SmallTx(1));
   auto batches = cutter.AddTransaction(std::move(big));

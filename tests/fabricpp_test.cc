@@ -13,13 +13,15 @@ Transaction Tx(TxId id, std::vector<std::string> reads,
                std::vector<std::string> writes) {
   Transaction tx;
   tx.id = id;
+  ReadWriteSet rwset;
   for (const std::string& key : reads) {
-    tx.rwset.reads.push_back(ReadItem{key, {0, 0}, true});
+    rwset.reads.push_back(ReadItem{key, {0, 0}, true});
   }
   for (const std::string& key : writes) {
-    tx.rwset.writes.push_back(WriteItem{key, "v" + key, false});
+    rwset.writes.push_back(WriteItem{key, "v" + key, false});
   }
-  uint64_t digest = tx.rwset.Digest();
+  tx.rwset = SealedRwSet(std::move(rwset));
+  uint64_t digest = tx.rwset->Digest();
   tx.endorsements.push_back(Endorsement{0, 0, digest, true});
   tx.endorsements.push_back(Endorsement{1, 1, digest, true});
   return tx;
@@ -54,7 +56,7 @@ TEST(ConflictGraphTest, RangeFootprintCreatesEdges) {
   rq.start_key = "k0";
   rq.end_key = "k9";
   rq.reads.push_back(ReadItem{"k3", {0, 0}, true});
-  scanner.rwset.range_queries.push_back(rq);
+  scanner.rwset = SealedRwSet(ReadWriteSet{{}, {}, {rq}});
   std::vector<Transaction> txs = {scanner, Tx(2, {}, {"k3"})};
   ConflictGraph graph = ConflictGraph::Build(txs, &ops);
   EXPECT_EQ(graph.adjacency()[0], (std::vector<uint32_t>{1}));
@@ -67,7 +69,7 @@ TEST(ConflictGraphTest, RangeIntervalCatchesInserters) {
   RangeQueryInfo rq;
   rq.start_key = "k0";
   rq.end_key = "k9";
-  scanner.rwset.range_queries.push_back(rq);  // empty footprint
+  scanner.rwset = SealedRwSet(ReadWriteSet{{}, {}, {rq}});  // empty footprint
   // Writer inserts a fresh key inside the scanned interval.
   std::vector<Transaction> txs = {scanner, Tx(2, {}, {"k5"})};
   ConflictGraph graph = ConflictGraph::Build(txs, &ops);
@@ -181,9 +183,10 @@ TEST(FabricPlusPlusTest, CostGrowsWithRangeFootprints) {
         rq.reads.push_back(
             ReadItem{"k" + std::to_string(10000 + i), {0, 0}, true});
       }
-      tx.rwset.range_queries.push_back(rq);
-      tx.rwset.writes.push_back(
-          WriteItem{"w" + std::to_string(t), "v", false});
+      ReadWriteSet rwset;
+      rwset.range_queries.push_back(rq);
+      rwset.writes.push_back(WriteItem{"w" + std::to_string(t), "v", false});
+      tx.rwset = SealedRwSet(std::move(rwset));
       block.txs.push_back(tx);
     }
     block.results.assign(block.txs.size(), TxValidationResult{});

@@ -6,11 +6,13 @@
 namespace fabricsim {
 namespace {
 
-// Attaches a valid Org0 endorsement over the current rw-set so the
-// transaction passes the test policy ("1-of[Org0]").
-Transaction Endorsed(Transaction tx) {
-  tx.endorsements.clear();
-  tx.endorsements.push_back(Endorsement{0, 0, tx.rwset.Digest(), true});
+// Builds transaction `id` over `rwset` with a valid Org0 endorsement,
+// so it passes the test policy ("1-of[Org0]").
+Transaction Endorsed(TxId id, ReadWriteSet rwset) {
+  Transaction tx;
+  tx.id = id;
+  tx.rwset = SealedRwSet(std::move(rwset));
+  tx.endorsements.push_back(Endorsement{0, 0, tx.rwset->Digest(), true});
   return tx;
 }
 
@@ -18,17 +20,11 @@ EndorsementPolicy TestPolicy() { return EndorsementPolicy::SignedBy(0); }
 
 Transaction ReaderTx(TxId id, const std::string& key, Version version,
                      bool found = true) {
-  Transaction tx;
-  tx.id = id;
-  tx.rwset.reads.push_back(ReadItem{key, version, found});
-  return Endorsed(std::move(tx));
+  return Endorsed(id, ReadWriteSet{{ReadItem{key, version, found}}, {}, {}});
 }
 
 Transaction WriterTx(TxId id, const std::string& key) {
-  Transaction tx;
-  tx.id = id;
-  tx.rwset.writes.push_back(WriteItem{key, "v", false});
-  return Endorsed(std::move(tx));
+  return Endorsed(id, ReadWriteSet{{}, {WriteItem{key, "v", false}}, {}});
 }
 
 Block CutBlock(uint64_t number, std::vector<Transaction> txs) {
@@ -82,10 +78,8 @@ TEST(DependencyTrackerTest, BlockCutFinalizesVersions) {
 
 TEST(DependencyTrackerTest, DeleteTrackedAsNonExistent) {
   DependencyTracker tracker;
-  Transaction deleter;
-  deleter.id = 1;
-  deleter.rwset.writes.push_back(WriteItem{"k", "", true});
-  deleter = Endorsed(std::move(deleter));
+  Transaction deleter =
+      Endorsed(1, ReadWriteSet{{}, {WriteItem{"k", "", true}}, {}});
   ASSERT_EQ(tracker.Admit(deleter), DependencyTracker::Decision::kAdmit);
   tracker.OnBlockCut(CutBlock(3, {deleter}));
   // A read that found the key is stale; a not-found read matches.
@@ -97,9 +91,7 @@ TEST(DependencyTrackerTest, DeleteTrackedAsNonExistent) {
 
 TEST(DependencyTrackerTest, RangeQueriesUnsupported) {
   DependencyTracker tracker;
-  Transaction tx;
-  tx.id = 1;
-  tx.rwset.range_queries.push_back(RangeQueryInfo{});
+  Transaction tx = Endorsed(1, ReadWriteSet{{}, {}, {RangeQueryInfo{}}});
   EXPECT_EQ(tracker.Admit(tx), DependencyTracker::Decision::kRangeQuery);
 }
 
@@ -117,9 +109,9 @@ TEST(FabricSharpProcessorTest, AdmissionAndStats) {
   FabricSharpProcessor processor(TestPolicy());
   TxValidationCode code = TxValidationCode::kNotValidated;
 
-  Transaction writer = WriterTx(1, "hot");
-  writer.rwset.reads.push_back(ReadItem{"hot", {0, 0}, true});
-  writer = Endorsed(std::move(writer));  // re-sign over the final rw-set
+  Transaction writer = Endorsed(1, ReadWriteSet{{ReadItem{"hot", {0, 0}, true}},
+                                                {WriteItem{"hot", "v", false}},
+                                                {}});
   EXPECT_TRUE(processor.Admit(writer, &code));
   Block block = CutBlock(1, {writer});
   std::vector<BlockProcessor::EarlyAbort> aborted;
@@ -133,10 +125,7 @@ TEST(FabricSharpProcessorTest, AdmissionAndStats) {
   EXPECT_EQ(processor.stats().admitted, 1u);
   EXPECT_EQ(processor.stats().aborted_stale_read, 1u);
 
-  Transaction ranger;
-  ranger.id = 3;
-  ranger.rwset.range_queries.push_back(RangeQueryInfo{});
-  ranger = Endorsed(std::move(ranger));
+  Transaction ranger = Endorsed(3, ReadWriteSet{{}, {}, {RangeQueryInfo{}}});
   EXPECT_FALSE(processor.Admit(ranger, &code));
   EXPECT_EQ(processor.stats().aborted_range_query, 1u);
 }
@@ -147,11 +136,9 @@ TEST(FabricSharpProcessorTest, ConcurrentUpdatesSerializeToOne) {
   FabricSharpProcessor processor(TestPolicy());
   TxValidationCode code;
   auto rmw = [](TxId id) {
-    Transaction tx;
-    tx.id = id;
-    tx.rwset.reads.push_back(ReadItem{"k", {0, 0}, true});
-    tx.rwset.writes.push_back(WriteItem{"k", "v", false});
-    return Endorsed(std::move(tx));
+    return Endorsed(id, ReadWriteSet{{ReadItem{"k", {0, 0}, true}},
+                                     {WriteItem{"k", "v", false}},
+                                     {}});
   };
   Transaction t1 = rmw(1), t2 = rmw(2);
   EXPECT_TRUE(processor.Admit(t1, &code));
@@ -199,16 +186,15 @@ TEST(FabricSharpProcessorTest, AdmittedReadsAreAlwaysCurrent) {
   for (int i = 0; i < 500; ++i) {
     TxId id = static_cast<TxId>(i + 1);
     std::string key = "k" + std::to_string(rng.UniformU64(10));
-    Transaction tx;
-    tx.id = id;
     // Random reader or read-modify-writer with a random (often stale)
     // version guess.
     Version guess{rng.UniformU64(3), 0};
-    tx.rwset.reads.push_back(ReadItem{key, guess, true});
+    ReadWriteSet rwset;
+    rwset.reads.push_back(ReadItem{key, guess, true});
     if (rng.Bernoulli(0.5)) {
-      tx.rwset.writes.push_back(WriteItem{key, "v", false});
+      rwset.writes.push_back(WriteItem{key, "v", false});
     }
-    tx = Endorsed(std::move(tx));
+    Transaction tx = Endorsed(id, std::move(rwset));
     if (processor.Admit(tx, &code)) pending.push_back(tx);
     if (pending.size() >= 10) {
       Block block = CutBlock(block_number++, pending);

@@ -209,6 +209,29 @@ TEST(IntegrationTest, LedgerBlocksAreContiguousAndComplete) {
   }
 }
 
+TEST(IntegrationTest, SealedRwSetsOnLedgerMatchTheirContent) {
+  // VSCC and the chain hash read the digest sealed at endorsement;
+  // every rw-set that reached the ledger must still hash to it.
+  ExperimentConfig config = SmallConfig();
+  auto chaincode = MakeChaincodeFor(config.workload).value();
+  auto workload = std::shared_ptr<WorkloadGenerator>(
+      std::move(MakeWorkload(config.workload, true).value()));
+  Environment env(23);
+  FabricNetwork network(config.fabric, &env, chaincode, workload);
+  ASSERT_TRUE(network.Init().ok());
+  network.StartLoad(config.arrival_rate_tps, config.duration);
+  env.RunAll();
+  size_t txs = 0;
+  for (const Block& block : network.ledger().blocks()) {
+    for (const Transaction& tx : block.txs) {
+      EXPECT_EQ(tx.rwset.digest(), tx.rwset->Digest()) << "tx " << tx.id;
+      EXPECT_EQ(tx.rwset.byte_size(), tx.rwset->ByteSize()) << "tx " << tx.id;
+      ++txs;
+    }
+  }
+  EXPECT_GT(txs, 100u);
+}
+
 TEST(IntegrationTest, InitValidatesConfig) {
   ExperimentConfig config = SmallConfig();
   config.fabric.policy_text = "1-of[Org7]";  // org 7 does not exist in C1

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "src/common/parallel.h"
 #include "src/ledger/block_store.h"
 #include "src/ledger/ledger_parser.h"
 #include "src/ledger/rwset.h"
@@ -74,6 +79,125 @@ TEST(RwSetTest, ReadOnlyAndCounts) {
   s.writes.push_back(WriteItem{"k", "v", false});
   EXPECT_FALSE(s.IsReadOnly());
   EXPECT_GT(s.ByteSize(), 0u);
+}
+
+// ------------------------------------------------------ SealedRwSet
+
+ReadWriteSet SampleSet() {
+  ReadWriteSet s;
+  s.reads.push_back(ReadItem{"present-key-longer-than-sso", {4, 2}, true});
+  s.reads.push_back(ReadItem{"absent", {0, 0}, false});
+  s.writes.push_back(WriteItem{"k1", std::string(40, 'v'), false});
+  s.writes.push_back(WriteItem{"gone", "", true});
+  RangeQueryInfo scan;
+  scan.start_key = "a";
+  scan.end_key = "z";
+  scan.reads.push_back(ReadItem{"m", {3, 1}, true});
+  s.range_queries.push_back(scan);
+  RangeQueryInfo rich;
+  rich.phantom_check = false;
+  rich.rich_selector = R"({"selector":{"owner":"alice"}})";
+  rich.reads.push_back(ReadItem{"asset7", {2, 0}, true});
+  s.range_queries.push_back(rich);
+  return s;
+}
+
+TEST(SealedRwSetTest, CachesDigestAndByteSizeOfContent) {
+  std::vector<ReadWriteSet> sets(5);
+  sets[1].reads = SampleSet().reads;
+  sets[2].writes = SampleSet().writes;
+  sets[3].range_queries = SampleSet().range_queries;
+  sets[4] = SampleSet();
+  for (const ReadWriteSet& set : sets) {
+    SealedRwSet sealed(set);
+    EXPECT_EQ(sealed.digest(), set.Digest());
+    EXPECT_EQ(sealed.byte_size(), set.ByteSize());
+    EXPECT_EQ(sealed.digest(), sealed->Digest());
+    EXPECT_EQ(sealed.byte_size(), sealed->ByteSize());
+  }
+}
+
+TEST(SealedRwSetTest, CopiesShareOneObject) {
+  SealedRwSet a(SampleSet());
+  SealedRwSet b = a;
+  SealedRwSet c;
+  c = b;
+  EXPECT_EQ(&*a, &*b);
+  EXPECT_EQ(&*a, &*c);
+  EXPECT_EQ(a.operator->(), &*c);
+  Transaction tx;
+  tx.rwset = a;
+  Transaction copy = tx;
+  EXPECT_EQ(&*copy.rwset, &*a);
+}
+
+TEST(SealedRwSetTest, DefaultIsTheSharedEmptySet) {
+  SealedRwSet a, b;
+  SealedRwSet empty{ReadWriteSet{}};
+  EXPECT_EQ(&*a, &*b);
+  EXPECT_TRUE(a->reads.empty());
+  EXPECT_TRUE(a->writes.empty());
+  EXPECT_TRUE(a->range_queries.empty());
+  EXPECT_TRUE(a->IsReadOnly());
+  EXPECT_EQ(a.digest(), empty.digest());
+  EXPECT_EQ(a.byte_size(), empty.byte_size());
+  EXPECT_EQ(a.digest(), ReadWriteSet{}.Digest());
+  EXPECT_EQ(Transaction{}.rwset.digest(), empty.digest());
+}
+
+TEST(SealedRwSetTest, WorkerThreadsShareSetsWithoutRaces) {
+  // Runs of one sweep execute on several worker threads; each copies
+  // and drops handles to the shared empty set, and a sealed set may be
+  // read from all of them.
+  const SealedRwSet shared(SampleSet());
+  std::vector<uint64_t> seen =
+      ParallelMap<uint64_t>(64, 4, [&shared](size_t i) {
+        std::vector<Transaction> txs(16);
+        for (Transaction& tx : txs) {
+          if (i % 2 == 0) tx.rwset = shared;
+        }
+        std::vector<Transaction> copies = txs;
+        return copies.back().rwset.digest() ^ Transaction{}.rwset.digest();
+      });
+  const uint64_t empty = SealedRwSet().digest();
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], i % 2 == 0 ? shared.digest() ^ empty : 0u);
+  }
+}
+
+TEST(SealedRwSetTest, SealingDropsSpareCapacity) {
+  ReadWriteSet set = SampleSet();
+  set.reads.reserve(64);
+  set.writes.reserve(64);
+  set.range_queries.reserve(64);
+  set.reads[0].key.reserve(256);
+  set.writes[0].key.reserve(256);
+  set.writes[0].value.reserve(256);
+  set.range_queries[0].reads.reserve(64);
+  set.range_queries[1].rich_selector.reserve(256);
+  SealedRwSet sealed(std::move(set));
+  // A short string keeps its inline (small-string) buffer.
+  const size_t inline_capacity = std::string().capacity();
+  auto tight = [&](const std::string& s) {
+    return s.capacity() <= std::max(s.size(), inline_capacity);
+  };
+  EXPECT_EQ(sealed->reads.capacity(), sealed->reads.size());
+  EXPECT_EQ(sealed->writes.capacity(), sealed->writes.size());
+  EXPECT_EQ(sealed->range_queries.capacity(), sealed->range_queries.size());
+  for (const ReadItem& r : sealed->reads) EXPECT_TRUE(tight(r.key)) << r.key;
+  for (const WriteItem& w : sealed->writes) {
+    EXPECT_TRUE(tight(w.key)) << w.key;
+    EXPECT_TRUE(tight(w.value)) << w.key;
+  }
+  for (const RangeQueryInfo& rq : sealed->range_queries) {
+    EXPECT_EQ(rq.reads.capacity(), rq.reads.size());
+    EXPECT_TRUE(tight(rq.start_key));
+    EXPECT_TRUE(tight(rq.end_key));
+    EXPECT_TRUE(tight(rq.rich_selector));
+    for (const ReadItem& r : rq.reads) EXPECT_TRUE(tight(r.key)) << r.key;
+  }
+  // Trimming moved no content.
+  EXPECT_EQ(sealed.digest(), SampleSet().Digest());
 }
 
 // ------------------------------------------------------- BlockStore

@@ -15,7 +15,9 @@ constexpr ScheduleOpts kAt{.absolute = true};
 Transaction SimpleTx(TxId id) {
   Transaction tx;
   tx.id = id;
-  tx.rwset.writes.push_back(WriteItem{"k" + std::to_string(id), "v", false});
+  ReadWriteSet rwset;
+  rwset.writes.push_back(WriteItem{"k" + std::to_string(id), "v", false});
+  tx.rwset = SealedRwSet(std::move(rwset));
   return tx;
 }
 

@@ -49,9 +49,11 @@ class PeerTest : public ::testing::Test {
     block->number = number;
     Transaction tx;
     tx.id = number;
-    tx.rwset.writes.push_back(WriteItem{key, "v" + std::to_string(number),
-                                        false});
-    uint64_t digest = tx.rwset.Digest();
+    ReadWriteSet rwset;
+    rwset.writes.push_back(WriteItem{key, "v" + std::to_string(number),
+                                     false});
+    tx.rwset = SealedRwSet(std::move(rwset));
+    uint64_t digest = tx.rwset->Digest();
     tx.endorsements.push_back(Endorsement{0, 0, digest, true});
     tx.endorsements.push_back(Endorsement{1, 1, digest, true});
     block->txs.push_back(std::move(tx));
@@ -79,11 +81,11 @@ TEST_F(PeerTest, EndorsesAgainstBootstrappedState) {
 
   EXPECT_EQ(got.tx_id, 42u);
   EXPECT_TRUE(got.app_ok);
-  ASSERT_EQ(got.rwset.reads.size(), 1u);
-  EXPECT_TRUE(got.rwset.reads[0].found);
-  EXPECT_EQ(got.rwset.reads[0].version, kBootstrapVersion);
+  ASSERT_EQ(got.rwset->reads.size(), 1u);
+  EXPECT_TRUE(got.rwset->reads[0].found);
+  EXPECT_EQ(got.rwset->reads[0].version, kBootstrapVersion);
   EXPECT_EQ(got.endorsement.org_id, 0);
-  EXPECT_EQ(got.endorsement.rwset_digest, got.rwset.Digest());
+  EXPECT_EQ(got.endorsement.rwset_digest, got.rwset->Digest());
 }
 
 TEST_F(PeerTest, EndorsementTakesDbAndSigningTime) {

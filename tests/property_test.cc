@@ -31,7 +31,9 @@ TEST_P(BlockCutterPropertyTest, EveryTxCutExactlyOnceInOrder) {
   for (int round = 0; round < 500; ++round) {
     Transaction tx;
     tx.id = next_id++;
-    tx.rwset.writes.push_back(WriteItem{"k", "v", false});
+    ReadWriteSet rwset;
+    rwset.writes.push_back(WriteItem{"k", "v", false});
+    tx.rwset = SealedRwSet(std::move(rwset));
     for (auto& batch : cutter.AddTransaction(std::move(tx))) {
       for (Transaction& t : batch) cut_order.push_back(t.id);
     }
@@ -62,14 +64,16 @@ TEST_P(ConflictGraphPropertyTest, FvsAlwaysLeavesAcyclicGraph) {
       Transaction tx;
       tx.id = static_cast<TxId>(t + 1);
       int ops = 1 + static_cast<int>(rng.UniformU64(3));
+      ReadWriteSet rwset;
       for (int o = 0; o < ops; ++o) {
         std::string key = "k" + std::to_string(rng.UniformU64(8));
         if (rng.Bernoulli(0.5)) {
-          tx.rwset.reads.push_back(ReadItem{key, {0, 0}, true});
+          rwset.reads.push_back(ReadItem{key, {0, 0}, true});
         } else {
-          tx.rwset.writes.push_back(WriteItem{key, "v", false});
+          rwset.writes.push_back(WriteItem{key, "v", false});
         }
       }
+      tx.rwset = SealedRwSet(std::move(rwset));
       txs.push_back(std::move(tx));
     }
     uint64_t ops = 0;
@@ -124,13 +128,15 @@ TEST_P(ValidatorPropertyTest, CommittedSubsequenceIsSerial) {
     tx.id = static_cast<TxId>(t + 1);
     std::string key = "k" + std::to_string(rng.UniformU64(6));
     Version version = rng.Bernoulli(0.8) ? Version{0, 0} : Version{9, 9};
-    tx.rwset.reads.push_back(ReadItem{key, version, true});
+    ReadWriteSet rwset;
+    rwset.reads.push_back(ReadItem{key, version, true});
     if (rng.Bernoulli(0.7)) {
       std::string wkey = "k" + std::to_string(rng.UniformU64(6));
-      tx.rwset.writes.push_back(
+      rwset.writes.push_back(
           WriteItem{wkey, "w" + std::to_string(t), false});
     }
-    uint64_t digest = tx.rwset.Digest();
+    tx.rwset = SealedRwSet(std::move(rwset));
+    uint64_t digest = tx.rwset->Digest();
     tx.endorsements = {Endorsement{0, 0, digest, true},
                        Endorsement{1, 1, digest, true}};
     block.txs.push_back(std::move(tx));
@@ -150,12 +156,12 @@ TEST_P(ValidatorPropertyTest, CommittedSubsequenceIsSerial) {
     const Transaction& tx = block.txs[i];
     // Serializability: each committed read must see exactly the
     // version it was endorsed with.
-    for (const ReadItem& read : tx.rwset.reads) {
+    for (const ReadItem& read : tx.rwset->reads) {
       auto vv = serial.Get(read.key);
       ASSERT_TRUE(vv.has_value());
       EXPECT_EQ(vv->version, read.version) << "tx " << tx.id;
     }
-    for (const WriteItem& write : tx.rwset.writes) {
+    for (const WriteItem& write : tx.rwset->writes) {
       serial.ApplyWrite(write, Version{1, i});
     }
   }

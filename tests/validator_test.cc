@@ -17,8 +17,8 @@ EndorsementPolicy TwoOrgPolicy() {
 Transaction MakeTx(TxId id, ReadWriteSet rwset) {
   Transaction tx;
   tx.id = id;
-  tx.rwset = std::move(rwset);
-  uint64_t digest = tx.rwset.Digest();
+  tx.rwset = SealedRwSet(std::move(rwset));
+  uint64_t digest = tx.rwset->Digest();
   tx.endorsements.push_back(Endorsement{0, 0, digest, true});
   tx.endorsements.push_back(Endorsement{1, 1, digest, true});
   return tx;
@@ -78,8 +78,8 @@ TEST_F(ValidatorTest, QuorumPolicyToleratesOneMismatch) {
   Validator quorum(MakePolicy(PolicyPreset::kP3Quorum, 3));  // needs 2 of 3
   Transaction tx;
   tx.id = 1;
-  tx.rwset = ReadWrite("a", {0, 0}, "a");
-  uint64_t digest = tx.rwset.Digest();
+  tx.rwset = SealedRwSet(ReadWrite("a", {0, 0}, "a"));
+  uint64_t digest = tx.rwset->Digest();
   tx.endorsements = {Endorsement{0, 0, digest, true},
                      Endorsement{1, 1, digest, true},
                      Endorsement{2, 2, digest ^ 1, true}};  // stale org

@@ -215,7 +215,9 @@ TEST(VersionedState, ContentHashIsMemoizedPerBlockObject) {
   block->number = 1;
   Transaction tx;
   tx.id = 9;
-  tx.rwset.writes.push_back(Put("k", "v"));
+  ReadWriteSet rwset;
+  rwset.writes.push_back(Put("k", "v"));
+  tx.rwset = SealedRwSet(std::move(rwset));
   block->txs.push_back(tx);
   auto outcome = store.GetOrValidate(1, [] {
     ValidationOutcome o;
@@ -268,9 +270,9 @@ struct CountingSimulate {
   std::string tag;
   EndorsementResult operator()() const {
     ++*calls;
-    EndorsementResult result;
-    result.rwset.writes.push_back(Put("k", tag));
-    return result;
+    ReadWriteSet rwset;
+    rwset.writes.push_back(Put("k", tag));
+    return EndorsementResult{SealedRwSet(std::move(rwset)), Status::OK()};
   }
 };
 
@@ -286,8 +288,8 @@ TEST(VersionedState, EqualSimulationKeysShareOneSimulation) {
                                    CountingSimulate{&calls, "again"});
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(first.get(), again.get());
-  EXPECT_EQ(first->result.rwset.writes[0].value, "first");
-  EXPECT_EQ(first->digest, first->result.rwset.Digest());
+  EXPECT_EQ(first->rwset->writes[0].value, "first");
+  EXPECT_EQ(first->rwset.digest(), first->rwset->Digest());
   EXPECT_EQ(store.live_simulations(), 1u);
 
   // Each key component on its own makes a separate simulation.
@@ -307,7 +309,7 @@ TEST(VersionedState, EqualSimulationKeysShareOneSimulation) {
   EXPECT_EQ(store.live_simulations(), 7u);
   EXPECT_EQ(store.GetOrSimulate(0, &cc_a, true, inv,
                                 CountingSimulate{&calls, "x"})
-                ->result.rwset.writes[0]
+                ->rwset->writes[0]
                 .value,
             "r");
   EXPECT_EQ(calls, 7);
