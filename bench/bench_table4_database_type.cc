@@ -1,14 +1,8 @@
 // Table 4: effect of database type with the genChain workloads —
 // average transaction latency, failure percentage, and the configured
 // per-function-call latencies.
-//
-// FABRICSIM_CROSS_BACKENDS=1 re-runs every (workload, db_type) cell
-// under each StateBackend and fails if any simulated number moves:
-// the db_type is the charged cost model, the backend only the data
-// structure, and the two must stay orthogonal.
 #include "bench/bench_util.h"
 #include "src/statedb/latency_profile.h"
-#include "src/statedb/state_backend.h"
 
 using namespace fabricsim;
 using namespace fabricsim::bench;
@@ -25,33 +19,17 @@ int main() {
        {WorkloadMix::kReadHeavy, WorkloadMix::kInsertHeavy,
         WorkloadMix::kUpdateHeavy, WorkloadMix::kRangeHeavy,
         WorkloadMix::kDeleteHeavy}) {
-    const bool cross = std::getenv("FABRICSIM_CROSS_BACKENDS") != nullptr;
-    std::vector<StateBackendType> backends = {StateBackendType::kOrderedMap};
-    if (cross) backends = AllStateBackends();
     double lat[2];
     double fail[2];
     int i = 0;
     for (DatabaseType db : {DatabaseType::kCouchDb, DatabaseType::kLevelDb}) {
-      for (size_t b = 0; b < backends.size(); ++b) {
-        ExperimentConfig config = BaseC2(100);
-        config.workload.chaincode = "genchain";
-        config.workload.mix = mix;
-        config.fabric.db_type = db;
-        config.fabric.state_backend = backends[b];
-        FailureReport r = MustRun(config);
-        if (b == 0) {
-          lat[i] = r.avg_latency_s;
-          fail[i] = r.total_failure_pct;
-        } else if (r.avg_latency_s != lat[i] ||
-                   r.total_failure_pct != fail[i]) {
-          std::fprintf(stderr,
-                       "FAIL: backend %s changed %s/%s results — the data "
-                       "plane must not affect the cost model\n",
-                       StateBackendTypeToString(backends[b]),
-                       WorkloadMixToString(mix), DatabaseTypeToString(db));
-          return 1;
-        }
-      }
+      ExperimentConfig config = BaseC2(100);
+      config.workload.chaincode = "genchain";
+      config.workload.mix = mix;
+      config.fabric.db_type = db;
+      FailureReport r = MustRun(config);
+      lat[i] = r.avg_latency_s;
+      fail[i] = r.total_failure_pct;
       ++i;
     }
     std::printf("%-14s %18.2f %18.2f %16.2f %16.2f\n",

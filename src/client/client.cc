@@ -74,7 +74,9 @@ void Client::SubmitOne() {
 
 void Client::Submit(TxId tx_id, Invocation invocation, int resubmit_count,
                     ChannelId channel) {
-  PendingTx pending;
+  // Built in place: the in_flight_ entry is the transaction's only
+  // PendingTx from submission to FinalizeTx.
+  PendingTx& pending = in_flight_.try_emplace(tx_id).first->second;
   pending.invocation = std::move(invocation);
   pending.channel = channel;
   pending.submit_time = p_.env->now();
@@ -113,6 +115,7 @@ void Client::Submit(TxId tx_id, Invocation invocation, int resubmit_count,
     // No org has an endorsing peer, so an endorsement set can never be
     // gathered. Drop now instead of parking the transaction in
     // in_flight_ forever (the entry used to leak).
+    in_flight_.erase(tx_id);
     ++p_.stats->txs_dropped_no_endorsers;
     if (Tracer* tracer = p_.env->tracer()) {
       tracer->OnClientDrop(tx_id, TraceTerminal::kNoEndorsers, p_.env->now());
@@ -120,10 +123,8 @@ void Client::Submit(TxId tx_id, Invocation invocation, int resubmit_count,
     return;
   }
   if (p_.admission != nullptr) pending.proposed_peers = targets;
-  const PendingTx& entry =
-      in_flight_.emplace(tx_id, std::move(pending)).first->second;
 
-  for (Peer* peer : targets) SendProposal(tx_id, entry, peer, /*attempt=*/0);
+  for (Peer* peer : targets) SendProposal(tx_id, pending, peer, /*attempt=*/0);
   if (p_.retry.retries_enabled()) ScheduleEndorseTimeout(tx_id, 0);
 }
 
@@ -254,10 +255,10 @@ void Client::OnEndorsement(ProposalResponse response) {
     }
     if (!answered) return;
   }
-  PendingTx done = std::move(it->second);
-  TxId tx_id = it->first;
+  // FinalizeTx only schedules events and never touches in_flight_, so
+  // `it` stays valid across the call.
+  FinalizeTx(it->first, pending);
   in_flight_.erase(it);
-  FinalizeTx(tx_id, std::move(done));
 }
 
 void Client::OnEndorseReject(TxId tx_id, ProposalReject why) {
@@ -270,9 +271,8 @@ void Client::OnEndorseReject(TxId tx_id, ProposalReject why) {
   // still queued at the other orgs are cancelled so a dead transaction
   // stops consuming endorsement capacity there (the cancel is a no-op
   // at the org that refused).
-  PendingTx pending = std::move(it->second);
+  CancelOutstanding(tx_id, it->second);
   in_flight_.erase(it);
-  CancelOutstanding(tx_id, pending);
   if (why == ProposalReject::kExpired) {
     if (p_.admission_stats != nullptr) {
       ++p_.admission_stats->client_expired_drops;
@@ -333,7 +333,7 @@ void Client::OnOrdererThrottle(TxId tx_id) {
   RecordOutcomeFailure();
 }
 
-void Client::FinalizeTx(TxId tx_id, PendingTx pending) {
+void Client::FinalizeTx(TxId tx_id, PendingTx& pending) {
   // Any chaincode-level error response makes the client drop the
   // transaction (it can never gather a valid endorsement set).
   for (const ProposalResponse& r : pending.responses) {
@@ -407,7 +407,7 @@ void Client::FinalizeTx(TxId tx_id, PendingTx pending) {
     // resubmission; the harness routes the verdict back via
     // OnCommittedResult.
     (*p_.resubmit_registry)[tx_id] = this;
-    resubmit_meta_[tx_id] = ResubmitMeta{pending.invocation,
+    resubmit_meta_[tx_id] = ResubmitMeta{std::move(pending.invocation),
                                          pending.resubmit_count,
                                          pending.channel};
   }

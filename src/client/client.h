@@ -208,7 +208,9 @@ class Client {
   void ScheduleEndorseTimeout(TxId tx_id, int attempt);
   void OnEndorseTimeout(TxId tx_id, int attempt);
   void OnEndorsement(ProposalResponse response);
-  void FinalizeTx(TxId tx_id, PendingTx pending);
+  /// Builds and hands off the envelope of a fully endorsed `pending`
+  /// (its in_flight_ entry, which the caller erases afterwards).
+  void FinalizeTx(TxId tx_id, PendingTx& pending);
   /// An endorser refused the proposal (shed or deadline-expired): the
   /// client fast-fails the transaction instead of waiting out the
   /// timeout — overload feedback must travel faster than the overload.

@@ -150,7 +150,7 @@ Status FabricNetwork::Init() {
   // Bootstrapped once; every peer reads it through its own height
   // cursors instead of holding a replica.
   for (int c = 0; c < num_channels; ++c) {
-    auto store = std::make_unique<VersionedStateStore>(config_.state_backend);
+    auto store = std::make_unique<VersionedStateStore>();
     FABRICSIM_RETURN_NOT_OK(
         store->Bootstrap(chaincode_for(c)->BootstrapState()));
     stores_.push_back(std::move(store));

@@ -167,14 +167,9 @@ struct FabricConfig {
   ClusterConfig cluster = ClusterConfig::C1();
   DatabaseType db_type = DatabaseType::kCouchDb;
 
-  /// Data structure behind the head of every channel's shared
-  /// VersionedStateStore, which all peers read at their own height.
-  /// Orthogonal to db_type: the backend is how fast the simulator
-  /// executes state ops, db_type is how much simulated time they
-  /// cost. All backends produce bit-identical simulation results; the
-  /// ordered-map default pins the paper figures, the hash/btree
-  /// backends make million-key world state cheap (see
-  /// src/statedb/state_backend.h).
+  /// Single-valued; kept only because fsbench/fsbench.cc:392 still
+  /// reads it (see src/statedb/state_backend.h). Excluded from
+  /// Describe() and every artifact.
   StateBackendType state_backend = StateBackendType::kOrderedMap;
 
   /// Number of channels (independent ledger shards) the network hosts.

@@ -57,8 +57,4 @@ void MemoryStateDb::ForEachEntry(
   for (const auto& [key, vv] : map_) fn(key, vv);
 }
 
-std::unique_ptr<StateDatabase> MakeMemoryStateDb() {
-  return std::make_unique<MemoryStateDb>();
-}
-
 }  // namespace fabricsim

@@ -8,10 +8,10 @@
 
 namespace fabricsim {
 
-/// Ordered std::map implementation of StateDatabase — the reference
-/// backend (StateBackendType::kOrderedMap) and the default: all paper
-/// figures are pinned to it bit for bit.
-class MemoryStateDb : public StateDatabase {
+/// Ordered std::map implementation of StateDatabase: the world state's
+/// one data structure. Each channel's VersionedStateStore holds its
+/// head in one; tests and tooling use it as a standalone replica.
+class MemoryStateDb final : public StateDatabase {
  public:
   std::optional<VersionedValue> Get(const std::string& key) const override;
   std::optional<Version> GetVersion(const std::string& key) const override;

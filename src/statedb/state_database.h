@@ -2,7 +2,6 @@
 #define FABRICSIM_STATEDB_STATE_DATABASE_H_
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,7 +25,10 @@ struct StateEntry {
   VersionedValue vv;
 };
 
-/// Abstract versioned key-value store backing a peer's world state.
+/// Abstract versioned key-value store: the world state as a peer reads
+/// it. Two classes implement it: MemoryStateDb (an ordered map, the
+/// head of every channel's VersionedStateStore) and StateView (one
+/// peer's read-only view of that store at its own height).
 ///
 /// This interface is pure data-plane: it performs the operation
 /// immediately and keeps no notion of time. The *cost* of each
@@ -34,17 +36,15 @@ struct StateEntry {
 /// measures in Table 4) is modelled separately by DbLatencyProfile and
 /// charged by the simulation actors that call into the store.
 ///
-/// ## Semantics contract (every backend MUST agree, bit for bit)
+/// ## Semantics contract
 ///
-/// Backends are interchangeable data structures behind one observable
-/// behaviour; the randomized differential test in tests/statedb_test.cc
-/// enforces this contract across all of them:
+/// Checked against a std::map reference by the randomized differential
+/// test in tests/statedb_test.cc, and for views below the head by
+/// tests/versioned_state_test.cc:
 ///
 ///  * **Deletes are absolute.** After ApplyWrite of a delete, the key
 ///    is absent from Get, GetVersion, GetRange, ForEachVersionInRange,
-///    Size, Scan and ForEachEntry alike — a backend that keeps a
-///    tombstone internally (the open-addressing hash does) must never
-///    let it leak into any read path. Deleting a missing key is a
+///    Size, Scan and ForEachEntry alike. Deleting a missing key is a
 ///    no-op returning OK.
 ///  * **Range queries are half-open [start_key, end_key)** over the
 ///    lexicographic key order. An *empty* end_key means "to the end of
@@ -52,8 +52,8 @@ struct StateEntry {
 ///    the empty interval. An empty start_key starts at the first key.
 ///  * **Order is total and deterministic.** GetRange, Scan,
 ///    ForEachVersionInRange and ForEachEntry enumerate strictly
-///    ascending by key, so two backends fed identical writes produce
-///    byte-identical scans, digests and phantom re-scan verdicts.
+///    ascending by key, so scans, digests and phantom re-scan verdicts
+///    depend only on the committed writes.
 class StateDatabase {
  public:
   virtual ~StateDatabase() = default;
@@ -63,9 +63,8 @@ class StateDatabase {
 
   /// Version-only point lookup. The validator's MVCC check only
   /// compares versions, so this avoids copying the value payload on
-  /// the hottest read path. Default delegates to Get(); backends
-  /// should override with a copy-free lookup.
-  virtual std::optional<Version> GetVersion(const std::string& key) const;
+  /// the hottest read path.
+  virtual std::optional<Version> GetVersion(const std::string& key) const = 0;
 
   /// Range scan over [start_key, end_key), in key order. An empty
   /// end_key means "to the end of the key space" (Fabric semantics).
@@ -75,11 +74,11 @@ class StateDatabase {
 
   /// Version-only range iteration over [start_key, end_key), in key
   /// order, used by the validator's phantom-read re-scan — no key or
-  /// value strings are materialized. Default delegates to GetRange().
+  /// value strings are materialized.
   virtual void ForEachVersionInRange(
       const std::string& start_key, const std::string& end_key,
       const std::function<void(const std::string& key, Version version)>& fn)
-      const;
+      const = 0;
 
   /// Applies one write (upsert or delete) committed at `version`.
   virtual Status ApplyWrite(const WriteItem& write, Version version) = 0;
@@ -94,25 +93,20 @@ class StateDatabase {
   /// Streaming visitation of every entry, ascending by key, without
   /// materializing a copy of the world state (rich queries scan every
   /// document; a Scan()-based implementation would copy all of it per
-  /// query). Default delegates to Scan(); backends should override
-  /// with a copy-free walk.
+  /// query).
   virtual void ForEachEntry(
       const std::function<void(const std::string& key,
-                               const VersionedValue& vv)>& fn) const;
+                               const VersionedValue& vv)>& fn) const = 0;
 };
 
 /// True when `key` falls inside the half-open range [start_key,
 /// end_key), where an empty end_key extends the range to the end of
-/// the key space. THE definition of Fabric range semantics — every
-/// backend and the validator's phantom re-scan agree by construction
-/// by sharing it.
+/// the key space. THE definition of Fabric range semantics, shared by
+/// the validator's phantom re-scan and Fabric++'s conflict analysis.
 inline bool KeyInRange(const std::string& key, const std::string& start_key,
                        const std::string& end_key) {
   return key >= start_key && (end_key.empty() || key < end_key);
 }
-
-/// Creates an in-memory ordered-map state database.
-std::unique_ptr<StateDatabase> MakeMemoryStateDb();
 
 }  // namespace fabricsim
 

@@ -8,16 +8,13 @@
 
 namespace fabricsim {
 
-VersionedStateStore::VersionedStateStore(StateBackendType backend)
-    : head_(MakeStateDb(backend)) {}
-
 Status VersionedStateStore::Bootstrap(const std::vector<WriteItem>& writes) {
   if (head_height_ != 0) {
     return Status::FailedPrecondition(
         "bootstrap after block " + std::to_string(head_height_) +
         " was committed");
   }
-  return ApplyBootstrap(*head_, writes);
+  return ApplyBootstrap(head_, writes);
 }
 
 VersionedStateStore::CursorId VersionedStateStore::AddCursor() {
@@ -92,11 +89,11 @@ Status VersionedStateStore::Commit(CursorId cursor, uint64_t number,
       Log::iterator it = log_.try_emplace(write.key).first;
       std::vector<BeforeImage>& chain = it->second;
       if (chain.empty() || chain.back().block != number) {
-        chain.push_back(BeforeImage{number, head_->Get(write.key)});
+        chain.push_back(BeforeImage{number, head_.Get(write.key)});
         logged.keys.push_back(it);
         ++before_image_count_;
       }
-      FABRICSIM_RETURN_NOT_OK(head_->ApplyWrite(write, version));
+      FABRICSIM_RETURN_NOT_OK(head_.ApplyWrite(write, version));
     }
     head_height_ = number;
   }
@@ -191,7 +188,7 @@ std::optional<VersionedValue> VersionedStateStore::Get(
       }
     }
   }
-  return head_->Get(key);
+  return head_.Get(key);
 }
 
 std::optional<Version> VersionedStateStore::GetVersion(
@@ -205,13 +202,13 @@ std::optional<Version> VersionedStateStore::GetVersion(
       }
     }
   }
-  return head_->GetVersion(key);
+  return head_.GetVersion(key);
 }
 
 std::vector<StateEntry> VersionedStateStore::GetRange(
     uint64_t height, const std::string& start_key,
     const std::string& end_key) const {
-  std::vector<StateEntry> head = head_->GetRange(start_key, end_key);
+  std::vector<StateEntry> head = head_.GetRange(start_key, end_key);
   if (AtHead(height)) return head;
   std::vector<StateEntry> out;
   out.reserve(head.size());
@@ -232,13 +229,13 @@ void VersionedStateStore::ForEachVersionInRange(
     const std::function<void(const std::string& key, Version version)>& fn)
     const {
   if (AtHead(height)) {
-    head_->ForEachVersionInRange(start_key, end_key, fn);
+    head_.ForEachVersionInRange(start_key, end_key, fn);
     return;
   }
   MergeAt<Version>(
       height, start_key, end_key,
       [&](const auto& visit) {
-        head_->ForEachVersionInRange(
+        head_.ForEachVersionInRange(
             start_key, end_key,
             [&](const std::string& key, Version version) {
               visit(key, version);
@@ -249,21 +246,21 @@ void VersionedStateStore::ForEachVersionInRange(
 }
 
 size_t VersionedStateStore::Size(uint64_t height) const {
-  size_t size = head_->Size();
+  size_t size = head_.Size();
   if (AtHead(height)) return size;
   for (const auto& [key, chain] : log_) {
     const BeforeImage* image = ImageAbove(chain, height);
     if (image == nullptr) continue;
     size += image->prior.has_value() ? 1 : 0;
-    size -= head_->GetVersion(key).has_value() ? 1 : 0;
+    size -= head_.GetVersion(key).has_value() ? 1 : 0;
   }
   return size;
 }
 
 std::vector<StateEntry> VersionedStateStore::Scan(uint64_t height) const {
-  if (AtHead(height)) return head_->Scan();
+  if (AtHead(height)) return head_.Scan();
   std::vector<StateEntry> out;
-  out.reserve(head_->Size());
+  out.reserve(head_.Size());
   ForEachEntry(height, [&](const std::string& key, const VersionedValue& vv) {
     out.push_back(StateEntry{key, vv});
   });
@@ -275,14 +272,14 @@ void VersionedStateStore::ForEachEntry(
     const std::function<void(const std::string& key,
                              const VersionedValue& vv)>& fn) const {
   if (AtHead(height)) {
-    head_->ForEachEntry(fn);
+    head_.ForEachEntry(fn);
     return;
   }
   static const std::string kAll;
   MergeAt<VersionedValue>(
       height, kAll, kAll,
       [&](const auto& visit) {
-        head_->ForEachEntry(
+        head_.ForEachEntry(
             [&](const std::string& key, const VersionedValue& vv) {
               visit(key, vv);
             });

@@ -16,7 +16,7 @@
 #include "src/ledger/block.h"
 #include "src/peer/endorser.h"
 #include "src/peer/validator.h"
-#include "src/statedb/state_backend.h"
+#include "src/statedb/memory_state_db.h"
 #include "src/statedb/state_database.h"
 
 namespace fabricsim {
@@ -29,8 +29,8 @@ namespace fabricsim {
 /// bootstrap, so per-peer replicas of a channel hold identical entries
 /// at equal heights. The store therefore keeps one copy:
 ///
-///  * the **head** — a StateDatabase of the configured backend holding
-///    the state after the highest committed block;
+///  * the **head** — an ordered map holding the state after the
+///    highest committed block;
 ///  * a **before-image log** — for every block above the lowest
 ///    cursor, the prior VersionedValue (or "absent") of each key the
 ///    block wrote, so the state at any live height is the head with
@@ -46,7 +46,7 @@ namespace fabricsim {
 /// Readers are *cursors*: each peer's committed height on the channel,
 /// plus FabricSharp's lagging endorsement snapshot. A StateView reads
 /// the store as of its cursor's height: at the head a read goes
-/// straight to the backend, below it the result is patched from the
+/// straight to the map, below it the result is patched from the
 /// log. The first cursor to commit block n applies the block to the
 /// head; log entries and outcomes at or below the lowest cursor are
 /// collected as cursors advance, so memory tracks the spread between
@@ -57,8 +57,7 @@ class VersionedStateStore {
  public:
   using CursorId = size_t;
 
-  explicit VersionedStateStore(
-      StateBackendType backend = StateBackendType::kOrderedMap);
+  VersionedStateStore() = default;
 
   VersionedStateStore(const VersionedStateStore&) = delete;
   VersionedStateStore& operator=(const VersionedStateStore&) = delete;
@@ -195,7 +194,7 @@ class VersionedStateStore {
   /// and outcomes at or below min_height().
   void Collect();
 
-  std::unique_ptr<StateDatabase> head_;
+  MemoryStateDb head_;
   uint64_t head_height_ = 0;
   std::vector<uint64_t> cursors_;
   Log log_;

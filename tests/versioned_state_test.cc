@@ -5,10 +5,10 @@
 // (CommitStateUpdates on an own StateDatabase), and are compared with
 // the views through every read path — point, version, range, version
 // range, full scan and size — including deleted keys and keys inserted
-// above a view's height. Runs over every state backend. Shared
-// chaincode simulations are checked at both levels: the store's key
-// and lifetime rules, and a network that endorses with fewer chaincode
-// invocations than endorsements while reproducing its golden results.
+// above a view's height. Shared chaincode simulations are checked at
+// both levels: the store's key and lifetime rules, and a network that
+// endorses with fewer chaincode invocations than endorsements while
+// reproducing its golden results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -123,47 +123,44 @@ ValidationOutcome OutcomeOf(uint64_t number,
 }
 
 TEST(VersionedState, ReadsBelowHeadSeeTheStateAtTheirHeight) {
-  for (StateBackendType backend : AllStateBackends()) {
-    SCOPED_TRACE(StateBackendTypeToString(backend));
-    VersionedStateStore store(backend);
-    ASSERT_TRUE(store.Bootstrap({Put("a", "a0"), Put("c", "c0")}).ok());
-    StateView leader(&store, store.AddCursor());
-    StateView lagger(&store, store.AddCursor());
+  VersionedStateStore store;
+  ASSERT_TRUE(store.Bootstrap({Put("a", "a0"), Put("c", "c0")}).ok());
+  StateView leader(&store, store.AddCursor());
+  StateView lagger(&store, store.AddCursor());
 
-    // Block 1 updates a, deletes c and inserts b; block 2 re-inserts c
-    // and writes b twice.
-    ValidationOutcome b1 = OutcomeOf(1, {Put("a", "a1"), Del("c"),
-                                         Put("b", "b1")});
-    ValidationOutcome b2 = OutcomeOf(2, {Put("c", "c2"), Put("b", "bx"),
-                                         Put("b", "b2")});
-    ASSERT_TRUE(store.Commit(leader.cursor(), 1, b1).ok());
-    ASSERT_TRUE(store.Commit(leader.cursor(), 2, b2).ok());
-    EXPECT_EQ(store.head_height(), 2u);
-    EXPECT_EQ(lagger.height(), 0u);
+  // Block 1 updates a, deletes c and inserts b; block 2 re-inserts c
+  // and writes b twice.
+  ValidationOutcome b1 = OutcomeOf(1, {Put("a", "a1"), Del("c"),
+                                       Put("b", "b1")});
+  ValidationOutcome b2 = OutcomeOf(2, {Put("c", "c2"), Put("b", "bx"),
+                                       Put("b", "b2")});
+  ASSERT_TRUE(store.Commit(leader.cursor(), 1, b1).ok());
+  ASSERT_TRUE(store.Commit(leader.cursor(), 2, b2).ok());
+  EXPECT_EQ(store.head_height(), 2u);
+  EXPECT_EQ(lagger.height(), 0u);
 
-    // The lagging view still reads the bootstrap state.
-    EXPECT_EQ(Describe(lagger.Get("a")), "a0@v0.0");
-    EXPECT_EQ(Describe(lagger.Get("b")), "absent");
-    EXPECT_EQ(Describe(lagger.Get("c")), "c0@v0.0");
-    EXPECT_EQ(lagger.Size(), 2u);
-    ASSERT_EQ(lagger.GetRange("a", "").size(), 2u);
-    EXPECT_EQ(lagger.GetRange("a", "")[1].key, "c");
-    EXPECT_EQ(Describe(leader.Get("b")), "b2@v2.2");
-    EXPECT_EQ(leader.Size(), 3u);
+  // The lagging view still reads the bootstrap state.
+  EXPECT_EQ(Describe(lagger.Get("a")), "a0@v0.0");
+  EXPECT_EQ(Describe(lagger.Get("b")), "absent");
+  EXPECT_EQ(Describe(lagger.Get("c")), "c0@v0.0");
+  EXPECT_EQ(lagger.Size(), 2u);
+  ASSERT_EQ(lagger.GetRange("a", "").size(), 2u);
+  EXPECT_EQ(lagger.GetRange("a", "")[1].key, "c");
+  EXPECT_EQ(Describe(leader.Get("b")), "b2@v2.2");
+  EXPECT_EQ(leader.Size(), 3u);
 
-    // One block later it sees block 1 only.
-    ASSERT_TRUE(store.Commit(lagger.cursor(), 1, b1).ok());
-    EXPECT_EQ(Describe(lagger.Get("b")), "b1@v1.2");
-    EXPECT_EQ(Describe(lagger.Get("c")), "absent");
-    EXPECT_EQ(lagger.Size(), 2u);
-    EXPECT_EQ(store.before_images(), 2u);  // block 2: c, b
-    EXPECT_EQ(store.oldest_logged_block(), 2u);
+  // One block later it sees block 1 only.
+  ASSERT_TRUE(store.Commit(lagger.cursor(), 1, b1).ok());
+  EXPECT_EQ(Describe(lagger.Get("b")), "b1@v1.2");
+  EXPECT_EQ(Describe(lagger.Get("c")), "absent");
+  EXPECT_EQ(lagger.Size(), 2u);
+  EXPECT_EQ(store.before_images(), 2u);  // block 2: c, b
+  EXPECT_EQ(store.oldest_logged_block(), 2u);
 
-    // Every cursor at the head: the log is empty.
-    ASSERT_TRUE(store.Commit(lagger.cursor(), 2, b2).ok());
-    EXPECT_EQ(store.before_images(), 0u);
-    EXPECT_EQ(store.oldest_logged_block(), 0u);
-  }
+  // Every cursor at the head: the log is empty.
+  ASSERT_TRUE(store.Commit(lagger.cursor(), 2, b2).ok());
+  EXPECT_EQ(store.before_images(), 0u);
+  EXPECT_EQ(store.oldest_logged_block(), 0u);
 }
 
 TEST(VersionedState, CursorsMoveOneBlockAtATime) {
@@ -376,59 +373,56 @@ TEST(VersionedState, FrozenCursorKeepsOnlyItsOwnHeightsSimulations) {
 TEST(VersionedState, RandomCursorsMatchReplayingReplicas) {
   constexpr int kCursors = 5;
   constexpr uint64_t kBlocks = 120;
-  for (StateBackendType backend : AllStateBackends()) {
-    SCOPED_TRACE(StateBackendTypeToString(backend));
-    Rng rng(17, 3);
-    auto key = [](uint64_t i) {
-      return "k" + std::to_string(100 + i);  // fixed width, sorted
-    };
-    std::vector<WriteItem> bootstrap;
-    for (uint64_t i = 0; i < 40; i += 2) bootstrap.push_back(Put(key(i), "b"));
+  Rng rng(17, 3);
+  auto key = [](uint64_t i) {
+    return "k" + std::to_string(100 + i);  // fixed width, sorted
+  };
+  std::vector<WriteItem> bootstrap;
+  for (uint64_t i = 0; i < 40; i += 2) bootstrap.push_back(Put(key(i), "b"));
 
-    VersionedStateStore store(backend);
-    ASSERT_TRUE(store.Bootstrap(bootstrap).ok());
-    std::vector<StateView> views;
-    std::vector<std::unique_ptr<StateDatabase>> replicas;
-    for (int c = 0; c < kCursors; ++c) {
-      views.emplace_back(&store, store.AddCursor());
-      replicas.push_back(MakeStateDb(StateBackendType::kOrderedMap));
-      ASSERT_TRUE(ApplyBootstrap(*replicas.back(), bootstrap).ok());
-    }
-    std::vector<ValidationOutcome> blocks(1);  // blocks[n] = block n
-    std::set<std::string> keys;
-    for (uint64_t i = 0; i < 50; ++i) keys.insert(key(i));
-
-    size_t max_images = 0;
-    while (store.min_height() < kBlocks) {
-      size_t c = rng.UniformU64(kCursors);
-      uint64_t next = views[c].height() + 1;
-      if (next > kBlocks) continue;
-      if (next == blocks.size()) {
-        std::vector<WriteItem> writes;
-        size_t n = 1 + rng.UniformU64(6);
-        for (size_t w = 0; w < n; ++w) {
-          std::string k = key(rng.UniformU64(48));
-          writes.push_back(rng.Bernoulli(0.3)
-                               ? Del(k)
-                               : Put(k, "v" + std::to_string(next)));
-        }
-        blocks.push_back(OutcomeOf(next, writes));
-      }
-      ASSERT_TRUE(store.Commit(views[c].cursor(), next, blocks[next]).ok());
-      ASSERT_TRUE(
-          CommitStateUpdates(*replicas[c], blocks[next].state_updates).ok());
-      max_images = std::max(max_images, store.before_images());
-      EXPECT_TRUE(store.oldest_logged_block() == 0 ||
-                  store.oldest_logged_block() > store.min_height());
-      size_t probe = rng.UniformU64(kCursors);
-      ExpectSameState(views[probe], *replicas[probe], keys, rng,
-                      "cursor " + std::to_string(probe) + " at " +
-                          std::to_string(views[probe].height()));
-      if (::testing::Test::HasFailure()) return;
-    }
-    EXPECT_GT(max_images, 0u);
-    EXPECT_EQ(store.before_images(), 0u);
+  VersionedStateStore store;
+  ASSERT_TRUE(store.Bootstrap(bootstrap).ok());
+  std::vector<StateView> views;
+  std::vector<std::unique_ptr<StateDatabase>> replicas;
+  for (int c = 0; c < kCursors; ++c) {
+    views.emplace_back(&store, store.AddCursor());
+    replicas.push_back(std::make_unique<MemoryStateDb>());
+    ASSERT_TRUE(ApplyBootstrap(*replicas.back(), bootstrap).ok());
   }
+  std::vector<ValidationOutcome> blocks(1);  // blocks[n] = block n
+  std::set<std::string> keys;
+  for (uint64_t i = 0; i < 50; ++i) keys.insert(key(i));
+
+  size_t max_images = 0;
+  while (store.min_height() < kBlocks) {
+    size_t c = rng.UniformU64(kCursors);
+    uint64_t next = views[c].height() + 1;
+    if (next > kBlocks) continue;
+    if (next == blocks.size()) {
+      std::vector<WriteItem> writes;
+      size_t n = 1 + rng.UniformU64(6);
+      for (size_t w = 0; w < n; ++w) {
+        std::string k = key(rng.UniformU64(48));
+        writes.push_back(rng.Bernoulli(0.3)
+                             ? Del(k)
+                             : Put(k, "v" + std::to_string(next)));
+      }
+      blocks.push_back(OutcomeOf(next, writes));
+    }
+    ASSERT_TRUE(store.Commit(views[c].cursor(), next, blocks[next]).ok());
+    ASSERT_TRUE(
+        CommitStateUpdates(*replicas[c], blocks[next].state_updates).ok());
+    max_images = std::max(max_images, store.before_images());
+    EXPECT_TRUE(store.oldest_logged_block() == 0 ||
+                store.oldest_logged_block() > store.min_height());
+    size_t probe = rng.UniformU64(kCursors);
+    ExpectSameState(views[probe], *replicas[probe], keys, rng,
+                    "cursor " + std::to_string(probe) + " at " +
+                        std::to_string(views[probe].height()));
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(max_images, 0u);
+  EXPECT_EQ(store.before_images(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -471,8 +465,8 @@ DiffStats RunDifferential(const ExperimentConfig& config, uint64_t seed,
       Reference& ref = per_peer[static_cast<size_t>(c)];
       std::vector<WriteItem> bootstrap =
           network.chaincode_for(c)->BootstrapState();
-      ref.committed = MakeStateDb(config.fabric.state_backend);
-      ref.snapshot = MakeStateDb(config.fabric.state_backend);
+      ref.committed = std::make_unique<MemoryStateDb>();
+      ref.snapshot = std::make_unique<MemoryStateDb>();
       EXPECT_TRUE(ApplyBootstrap(*ref.committed, bootstrap).ok());
       EXPECT_TRUE(ApplyBootstrap(*ref.snapshot, bootstrap).ok());
     }
@@ -549,13 +543,12 @@ DiffStats RunDifferential(const ExperimentConfig& config, uint64_t seed,
   return stats;
 }
 
-ExperimentConfig DiffConfig(StateBackendType backend) {
+ExperimentConfig DiffConfig() {
   ExperimentConfig config = ExperimentConfig::Defaults();
   config.workload.chaincode = "genchain";
   config.workload.genchain_initial_keys = 120;
   config.fabric.cluster.peers_per_org = 3;
   config.fabric.block_size = 10;
-  config.fabric.state_backend = backend;
   config.arrival_rate_tps = 40;
   config.duration = 6 * kSecond;
   // Retries let transactions routed to a dead peer complete through
@@ -565,63 +558,52 @@ ExperimentConfig DiffConfig(StateBackendType backend) {
 }
 
 TEST(VersionedState, PeerViewsMatchReplicasUnderCrashRestartMixes) {
-  for (StateBackendType backend : AllStateBackends()) {
-    for (uint64_t seed = 1; seed <= 3; ++seed) {
-      SCOPED_TRACE(std::string(StateBackendTypeToString(backend)) +
-                   " seed " + std::to_string(seed));
-      ExperimentConfig config = DiffConfig(backend);
-      config.fabric.num_channels = seed == 2 ? 2 : 1;
-      // A seeded mix of 1-3 peer crashes: staggered windows, one of
-      // them possibly never restarting, never the ledger-recording
-      // peer 0.
-      Rng mix(seed, 7);
-      const int peers = config.fabric.cluster.total_peers();
-      int crashes = 1 + static_cast<int>(mix.UniformU64(3));
-      for (int i = 0; i < crashes; ++i) {
-        PeerId peer = 1 + static_cast<PeerId>(
-            mix.UniformU64(static_cast<uint64_t>(peers - 1)));
-        SimTime at = FromSeconds(mix.UniformRange(0.5, 3.0));
-        SimTime restart = i == 2 ? kSimTimeNever
-                                 : at + FromSeconds(mix.UniformRange(0.3, 2));
-        config.fabric.faults.Crash(peer, at, restart);
-      }
-      DiffStats stats = RunDifferential(config, 40 + seed,
-                                        /*expect_empty_log_at_end=*/false);
-      EXPECT_GT(stats.commits, 0u);
-      EXPECT_GT(stats.lagging_reads, 0u);
-      if (::testing::Test::HasFailure()) return;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExperimentConfig config = DiffConfig();
+    config.fabric.num_channels = seed == 2 ? 2 : 1;
+    // A seeded mix of 1-3 peer crashes: staggered windows, one of
+    // them possibly never restarting, never the ledger-recording
+    // peer 0.
+    Rng mix(seed, 7);
+    const int peers = config.fabric.cluster.total_peers();
+    int crashes = 1 + static_cast<int>(mix.UniformU64(3));
+    for (int i = 0; i < crashes; ++i) {
+      PeerId peer = 1 + static_cast<PeerId>(
+          mix.UniformU64(static_cast<uint64_t>(peers - 1)));
+      SimTime at = FromSeconds(mix.UniformRange(0.5, 3.0));
+      SimTime restart = i == 2 ? kSimTimeNever
+                               : at + FromSeconds(mix.UniformRange(0.3, 2));
+      config.fabric.faults.Crash(peer, at, restart);
     }
-  }
-}
-
-TEST(VersionedState, SnapshotViewsMatchReplicasUnderFabricSharpLag) {
-  for (StateBackendType backend : AllStateBackends()) {
-    SCOPED_TRACE(StateBackendTypeToString(backend));
-    ExperimentConfig config = DiffConfig(backend);
-    config.fabric.variant = FabricVariant::kFabricSharp;
-    config.workload.include_range_reads = false;  // unsupported (§5.4.3)
-    config.fabric.fabricsharp_snapshot_interval = 700 * kMillisecond;
-    config.fabric.faults.Crash(/*peer=*/2, 2 * kSecond, 3 * kSecond);
-    DiffStats stats = RunDifferential(config, 11,
-                                      /*expect_empty_log_at_end=*/true);
+    DiffStats stats = RunDifferential(config, 40 + seed,
+                                      /*expect_empty_log_at_end=*/false);
+    EXPECT_GT(stats.commits, 0u);
     EXPECT_GT(stats.lagging_reads, 0u);
     if (::testing::Test::HasFailure()) return;
   }
 }
 
+TEST(VersionedState, SnapshotViewsMatchReplicasUnderFabricSharpLag) {
+  ExperimentConfig config = DiffConfig();
+  config.fabric.variant = FabricVariant::kFabricSharp;
+  config.workload.include_range_reads = false;  // unsupported (§5.4.3)
+  config.fabric.fabricsharp_snapshot_interval = 700 * kMillisecond;
+  config.fabric.faults.Crash(/*peer=*/2, 2 * kSecond, 3 * kSecond);
+  DiffStats stats = RunDifferential(config, 11,
+                                    /*expect_empty_log_at_end=*/true);
+  EXPECT_GT(stats.lagging_reads, 0u);
+}
+
 TEST(VersionedState, AllAliveRunKeepsTheLogBounded) {
-  for (StateBackendType backend : AllStateBackends()) {
-    SCOPED_TRACE(StateBackendTypeToString(backend));
-    ExperimentConfig config = DiffConfig(backend);
-    config.fabric.num_channels = 2;
-    DiffStats stats = RunDifferential(config, 5,
-                                      /*expect_empty_log_at_end=*/true);
-    // Without faults, peers only drift apart by gossip and service
-    // jitter: the log spans a handful of blocks, never the run.
-    EXPECT_GT(stats.max_spread, 0u);
-    EXPECT_LT(stats.max_spread, 5u);
-    if (::testing::Test::HasFailure()) return;
-  }
+  ExperimentConfig config = DiffConfig();
+  config.fabric.num_channels = 2;
+  DiffStats stats = RunDifferential(config, 5,
+                                    /*expect_empty_log_at_end=*/true);
+  // Without faults, peers only drift apart by gossip and service
+  // jitter: the log spans a handful of blocks, never the run.
+  EXPECT_GT(stats.max_spread, 0u);
+  EXPECT_LT(stats.max_spread, 5u);
 }
 
 // ---------------------------------------------------------------------
