@@ -94,7 +94,7 @@ inline double NowMs() {
 
 /// Accumulates machine-readable bench rows and writes them to
 /// BENCH_<name>.json in the working directory on Flush()/destruction.
-/// The file is a versioned document (VersionedJsonWriter::kDocument):
+/// The file is a versioned document (VersionedJsonWriter):
 ///   {"schema_version": N, "kind": "bench.<name>", "config": "...",
 ///    "rows": [ {"figure": ..., "point": ..., "seed": ...,
 ///               "wall_ms": ..., "failure_pct": ...}, ... ]}
@@ -103,8 +103,7 @@ inline double NowMs() {
 class JsonWriter {
  public:
   explicit JsonWriter(std::string name)
-      : name_(std::move(name)),
-        writer_("bench." + name_, VersionedJsonWriter::Format::kDocument) {
+      : name_(std::move(name)), writer_("bench." + name_) {
     // Every bench artifact self-describes the host it ran on: scaling
     // numbers from a 1-core CI runner carry their own caveat.
     writer_.set_hardware_concurrency(HardwareConcurrency());

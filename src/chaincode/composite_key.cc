@@ -71,7 +71,12 @@ bool SplitCompositeKey(const std::string& key, std::string* object_type,
 std::pair<std::string, std::string> CompositeKeyRange(
     const std::string& object_type,
     const std::vector<std::string>& partial_attributes) {
-  std::string start = MakeCompositeKey(object_type, partial_attributes);
+  return CompositeKeyPrefixRange(
+      MakeCompositeKey(object_type, partial_attributes));
+}
+
+std::pair<std::string, std::string> CompositeKeyPrefixRange(
+    std::string start) {
   // Every key extending `start` differs from `end` first at start's
   // final separator byte (SEP < SEP+1), so [start, end) contains
   // exactly the keys with this prefix — the bytes after the prefix

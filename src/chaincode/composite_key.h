@@ -56,6 +56,11 @@ std::pair<std::string, std::string> CompositeKeyRange(
     const std::string& object_type,
     const std::vector<std::string>& partial_attributes);
 
+/// The same range for a prefix already built in composite-key layout
+/// (ending in the separator), e.g. by a table's own key builder.
+std::pair<std::string, std::string> CompositeKeyPrefixRange(
+    std::string start);
+
 /// Object type of a composite key ("" when `key` has none) — the
 /// cheap classifier used for per-entity failure attribution: which
 /// table does a conflicting key belong to.

@@ -6,35 +6,30 @@ ChaincodeStub::ChaincodeStub(const StateDatabase& db,
                              bool rich_queries_supported)
     : db_(db), rich_queries_supported_(rich_queries_supported) {}
 
-std::optional<std::string> ChaincodeStub::GetState(const std::string& key) {
+std::optional<std::string> ChaincodeStub::GetState(std::string key) {
   std::optional<VersionedValue> vv = db_.Get(key);
-  ReadItem item;
-  item.key = key;
-  if (vv.has_value()) {
-    item.version = vv->version;
-    item.found = true;
-  } else {
-    item.found = false;
+  if (!vv.has_value()) {
+    rwset_.reads.push_back(ReadItem{std::move(key), Version{}, false});
+    return std::nullopt;
   }
-  rwset_.reads.push_back(std::move(item));
-  if (!vv.has_value()) return std::nullopt;
-  return vv->value;
+  rwset_.reads.push_back(ReadItem{std::move(key), vv->version, true});
+  return std::move(vv->value);
 }
 
-void ChaincodeStub::PutState(const std::string& key, std::string value) {
-  rwset_.writes.push_back(WriteItem{key, std::move(value), false});
+void ChaincodeStub::PutState(std::string key, std::string value) {
+  rwset_.writes.push_back(WriteItem{std::move(key), std::move(value), false});
 }
 
-void ChaincodeStub::DelState(const std::string& key) {
-  rwset_.writes.push_back(WriteItem{key, "", true});
+void ChaincodeStub::DelState(std::string key) {
+  rwset_.writes.push_back(WriteItem{std::move(key), "", true});
 }
 
-std::vector<StateEntry> ChaincodeStub::GetStateByRange(
-    const std::string& start_key, const std::string& end_key) {
+std::vector<StateEntry> ChaincodeStub::GetStateByRange(std::string start_key,
+                                                       std::string end_key) {
   std::vector<StateEntry> entries = db_.GetRange(start_key, end_key);
   RangeQueryInfo info;
-  info.start_key = start_key;
-  info.end_key = end_key;
+  info.start_key = std::move(start_key);
+  info.end_key = std::move(end_key);
   info.phantom_check = true;
   info.reads.reserve(entries.size());
   for (const StateEntry& e : entries) {
@@ -48,7 +43,7 @@ std::vector<StateEntry> ChaincodeStub::GetStateByPartialCompositeKey(
     const std::string& object_type,
     const std::vector<std::string>& partial_attributes) {
   auto [start, end] = CompositeKeyRange(object_type, partial_attributes);
-  return GetStateByRange(start, end);
+  return GetStateByRange(std::move(start), std::move(end));
 }
 
 Result<std::vector<StateEntry>> ChaincodeStub::GetQueryResult(

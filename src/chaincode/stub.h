@@ -30,20 +30,25 @@ class ChaincodeStub {
   /// `rich_queries_supported` reflects the configured database type.
   ChaincodeStub(const StateDatabase& db, bool rich_queries_supported);
 
+  // Keys and values are taken by value and moved into the rw-set, so a
+  // caller passing a temporary (a freshly built key, an encoded row)
+  // hands its buffer over instead of having it copied.
+
   /// Point read; records (key, observed version) in the read set.
   /// nullopt when the key does not exist (still recorded, found=false).
-  std::optional<std::string> GetState(const std::string& key);
+  /// The returned value is the store's copy, moved out.
+  std::optional<std::string> GetState(std::string key);
 
   /// Buffers an upsert into the write set.
-  void PutState(const std::string& key, std::string value);
+  void PutState(std::string key, std::string value);
 
   /// Buffers a delete into the write set.
-  void DelState(const std::string& key);
+  void DelState(std::string key);
 
   /// Range scan over [start_key, end_key); records the full footprint
   /// for phantom validation.
-  std::vector<StateEntry> GetStateByRange(const std::string& start_key,
-                                          const std::string& end_key);
+  std::vector<StateEntry> GetStateByRange(std::string start_key,
+                                          std::string end_key);
 
   /// Rich selector query (CouchDB only). The result footprint is
   /// recorded with phantom_check=false.

@@ -23,6 +23,9 @@ namespace fabricsim {
 /// keys, rising with block size (larger blocks = wider conflict
 /// window). Money is integer cents throughout: endorsement compares
 /// rw-sets byte-for-byte, so float formatting must never enter state.
+/// Rows are typed (src/chaincode/tpcc/tpcc_rows.h): each read parses
+/// its JSON document once and each write encodes it once. Malformed
+/// arguments and rows are refused with a Status, never thrown.
 ///
 /// Function → operation footprint (n = order lines, B = delivery batch):
 ///   NewOrder    (3+2n)xR, (3+2n)xW   (invalid item: reads only, error)

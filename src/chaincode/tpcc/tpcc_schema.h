@@ -1,7 +1,9 @@
 #ifndef FABRICSIM_CHAINCODE_TPCC_TPCC_SCHEMA_H_
 #define FABRICSIM_CHAINCODE_TPCC_TPCC_SCHEMA_H_
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/workload/workload_spec.h"
 
@@ -12,6 +14,9 @@ namespace tpcc {
 /// object type; numeric attributes are zero-padded so lexicographic
 /// key order equals (warehouse, district, order, line) tuple order and
 /// partial-composite range scans enumerate exactly one subtree.
+/// Every builder returns the bytes MakeCompositeKey(table,
+/// {PadKey(id, width), ...}) would, in one allocation of exactly the
+/// key's size.
 ///
 /// Conflict topology (the reason this schema exists): NewOrder reads
 /// AND writes its district row (d_next_o_id), Payment reads AND writes
@@ -36,6 +41,15 @@ std::string NewOrderKey(int w, int d, int o);
 std::string OrderLineKey(int w, int d, int o, int line);
 std::string StockKey(int w, int i);
 std::string ItemKey(int i);
+
+/// Leading attributes of a key, ending in the separator, for prefix
+/// scans: every NEWORDER key of district (w, d), and every ORDERLINE
+/// key of order o. CompositeKeyPrefixRange() turns one into a range.
+std::string NewOrderPrefix(int w, int d);
+std::string OrderLinePrefix(int w, int d, long long o);
+
+/// The order id of a NewOrderKey(); nullopt for any other key shape.
+std::optional<int> OrderIdOfNewOrderKey(std::string_view key);
 
 /// Table (object type) a state key belongs to, or "" for keys outside
 /// the TPC-C schema — the classifier behind per-entity failure

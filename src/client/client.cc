@@ -368,18 +368,21 @@ void Client::FinalizeTx(TxId tx_id, PendingTx& pending) {
   tx.id = tx_id;
   tx.channel = pending.channel;
   tx.chaincode = p_.workload->chaincode();
-  tx.function = pending.invocation.function;
-  tx.args = pending.invocation.args;
+  // The caller erases `pending` right after this call, so its
+  // invocation and endorsements move into the transaction.
+  tx.function = std::move(pending.invocation.function);
+  tx.args = std::move(pending.invocation.args);
   tx.client_submit_time = pending.submit_time;
   tx.deadline = pending.deadline;
   tx.endorsed_time = p_.env->now();
   bool rwset_attached = false;
+  tx.endorsements.reserve(pending.responses.size());
   for (ProposalResponse& r : pending.responses) {
     if (!rwset_attached && r.endorsement.rwset_digest == best_digest) {
       tx.rwset = std::move(r.rwset);
       rwset_attached = true;
     }
-    tx.endorsements.push_back(r.endorsement);
+    tx.endorsements.push_back(std::move(r.endorsement));
   }
   tx.read_only = tx.rwset->IsReadOnly();
   if (Tracer* tracer = p_.env->tracer()) {
@@ -407,9 +410,9 @@ void Client::FinalizeTx(TxId tx_id, PendingTx& pending) {
     // resubmission; the harness routes the verdict back via
     // OnCommittedResult.
     (*p_.resubmit_registry)[tx_id] = this;
-    resubmit_meta_[tx_id] = ResubmitMeta{std::move(pending.invocation),
-                                         pending.resubmit_count,
-                                         pending.channel};
+    resubmit_meta_[tx_id] =
+        ResubmitMeta{Invocation{tx.function, tx.args}, pending.resubmit_count,
+                     pending.channel};
   }
   SimTime collect_cost =
       p_.timing.client_collect_cost *

@@ -10,39 +10,43 @@ namespace fabricsim {
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
+  AppendJsonEscaped(s, &out);
+  return out;
+}
+
+void AppendJsonEscaped(const std::string& s, std::string* out) {
   for (char c : s) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x",
                         static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+          *out += buf;
         } else {
-          out += c;
+          *out += c;
         }
     }
   }
-  return out;
 }
 
-VersionedJsonWriter::VersionedJsonWriter(std::string kind, Format format)
-    : kind_(std::move(kind)), format_(format) {}
+VersionedJsonWriter::VersionedJsonWriter(std::string kind)
+    : kind_(std::move(kind)) {}
 
 void VersionedJsonWriter::set_schema_version(int version) {
   if (version < kObsSchemaVersion) version = kObsSchemaVersion;
@@ -78,22 +82,12 @@ std::string VersionedJsonWriter::Header() const {
   return header;
 }
 
+std::string VersionedJsonWriter::JsonlHeaderLine() const {
+  return "{" + Header() + "}\n";
+}
+
 std::string VersionedJsonWriter::Render() const {
   std::string out;
-  if (format_ == Format::kJsonl) {
-    out += "{" + Header() + "}\n";
-    for (const std::string& row : rows_) {
-      out += row;
-      out += '\n';
-    }
-    for (const auto& [channel, rows] : channel_rows_) {
-      for (const std::string& row : rows) {
-        out += row;
-        out += '\n';
-      }
-    }
-    return out;
-  }
   out += "{\n  " + Header() + ",\n  \"rows\": [\n";
   for (size_t i = 0; i < rows_.size(); ++i) {
     out += "    " + rows_[i];

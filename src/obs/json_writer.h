@@ -1,6 +1,7 @@
 #ifndef FABRICSIM_OBS_JSON_WRITER_H_
 #define FABRICSIM_OBS_JSON_WRITER_H_
 
+#include <charconv>
 #include <cstddef>
 #include <map>
 #include <string>
@@ -24,15 +25,29 @@ inline constexpr int kObsSchemaVersionChannels = 2;
 /// (quotes, backslashes, control characters).
 std::string JsonEscape(const std::string& s);
 
-/// Buffers JSON object rows and renders them behind a versioned
-/// header. One writer serves both artifact shapes:
-///  * kDocument: a single JSON object
+/// Appends JsonEscape(s) to `out`.
+void AppendJsonEscaped(const std::string& s, std::string* out);
+
+/// Appends the decimal digits of an integer, as printf's %d / %u /
+/// %lld / %llu print it.
+template <typename Int>
+void AppendDecimal(Int value, std::string* out) {
+  char digits[24];
+  char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  out->append(digits, end);
+}
+
+/// Stamps machine-readable artifacts with a versioned header. Two
+/// artifact shapes share it:
+///  * a document, buffered here and rendered by Render():
 ///      {"schema_version": N, "kind": "...", "config": "...",
 ///       "rows": [ ... ]}
 ///    used for the BENCH_*.json files, and
-///  * kJsonl: a header line followed by one row object per line,
-///    used for transaction-trace exports.
-/// Sharing the writer keeps every artifact self-describing: the same
+///  * JSONL, JsonlHeaderLine() followed by one row object per line,
+///    used for transaction-trace exports. The exporter appends its
+///    rows after the header into one buffer itself: a trace can run
+///    to megabytes, and holding each row apart would double that.
+/// Sharing the header keeps every artifact self-describing: the same
 /// schema_version + kind + config echo appears in each.
 ///
 /// Version 2 documents additionally carry per-channel result arrays:
@@ -42,9 +57,7 @@ std::string JsonEscape(const std::string& s);
 /// automatically; plain writers keep emitting version 1 byte-for-byte.
 class VersionedJsonWriter {
  public:
-  enum class Format { kDocument, kJsonl };
-
-  VersionedJsonWriter(std::string kind, Format format);
+  explicit VersionedJsonWriter(std::string kind);
 
   /// Human-readable echo of the generating configuration (e.g.
   /// ExperimentConfig::Describe()), emitted in the header.
@@ -71,20 +84,21 @@ class VersionedJsonWriter {
   /// Appends one complete JSON object (no trailing newline).
   void AddRow(std::string row_json);
 
-  /// Appends one complete JSON object to `channel`'s result array.
-  /// Implies schema version >= 2. In kDocument format channel rows
-  /// render grouped under "channels"; in kJsonl they follow the
-  /// regular rows, one per line, in (channel, insertion) order.
+  /// Appends one complete JSON object to `channel`'s result array,
+  /// rendered grouped under "channels". Implies schema version >= 2.
   void AddChannelRow(int channel, std::string row_json);
 
   size_t row_count() const { return rows_.size(); }
 
   size_t channel_row_count() const;
 
-  /// Renders the full artifact into a string.
+  /// Renders the document into a string.
   std::string Render() const;
 
-  /// Renders and writes to `path`. Returns false (and prints to
+  /// The header as a JSONL artifact's first line, newline included.
+  std::string JsonlHeaderLine() const;
+
+  /// Renders the document and writes it to `path`. Returns false (and prints to
   /// stderr) when the file cannot be written.
   bool WriteFile(const std::string& path) const;
 
@@ -98,7 +112,6 @@ class VersionedJsonWriter {
   std::string Header() const;
 
   std::string kind_;
-  Format format_;
   std::string config_echo_;
   int schema_version_ = kObsSchemaVersion;
   /// 0 = omit the header field (the pre-annotation byte layout).

@@ -1,6 +1,5 @@
 #include "src/obs/trace.h"
 
-#include "src/common/strings.h"
 #include "src/obs/json_writer.h"
 
 namespace fabricsim {
@@ -37,99 +36,126 @@ const char* TraceTerminalToString(TraceTerminal terminal) {
 
 namespace {
 
-std::string VersionJson(const Version& v) {
-  return StrFormat("{\"block\": %llu, \"tx\": %u}",
-                   static_cast<unsigned long long>(v.block_num), v.tx_num);
+void AppendVersion(const Version& v, std::string* out) {
+  out->append("{\"block\": ");
+  AppendDecimal(v.block_num, out);
+  out->append(", \"tx\": ");
+  AppendDecimal(v.tx_num, out);
+  out->push_back('}');
 }
 
 }  // namespace
 
-std::string TxTrace::ToJson() const {
-  std::string out = StrFormat(
-      "{\"type\": \"tx\", \"id\": %llu, \"function\": \"%s\", "
-      "\"read_only\": %s, \"terminal\": \"%s\", \"code\": \"%s\"",
-      static_cast<unsigned long long>(id), JsonEscape(function).c_str(),
-      read_only ? "true" : "false", TraceTerminalToString(terminal),
-      TxValidationCodeToString(final_code));
+void TxTrace::AppendJson(std::string* out) const {
+  out->append("{\"type\": \"tx\", \"id\": ");
+  AppendDecimal(id, out);
+  out->append(", \"function\": \"");
+  AppendJsonEscaped(function, out);
+  out->append("\", \"read_only\": ");
+  out->append(read_only ? "true" : "false");
+  out->append(", \"terminal\": \"");
+  out->append(TraceTerminalToString(terminal));
+  out->append("\", \"code\": \"");
+  out->append(TxValidationCodeToString(final_code));
+  out->push_back('"');
   if (channel != 0) {
-    out += StrFormat(", \"channel\": %d", channel);
+    out->append(", \"channel\": ");
+    AppendDecimal(channel, out);
   }
   if (block_number != 0) {
-    out += StrFormat(", \"block\": %llu, \"index\": %u",
-                     static_cast<unsigned long long>(block_number), tx_index);
+    out->append(", \"block\": ");
+    AppendDecimal(block_number, out);
+    out->append(", \"index\": ");
+    AppendDecimal(tx_index, out);
   }
   // Retry/resubmission fields only appear when used, so fault-free
   // exports stay byte-identical to the previous schema.
   if (retries != 0) {
-    out += StrFormat(", \"retries\": %u", retries);
+    out->append(", \"retries\": ");
+    AppendDecimal(retries, out);
   }
   if (resubmit_of != 0) {
-    out += StrFormat(", \"resubmit_of\": %llu",
-                     static_cast<unsigned long long>(resubmit_of));
+    out->append(", \"resubmit_of\": ");
+    AppendDecimal(resubmit_of, out);
   }
   if (resubmitted_as != 0) {
-    out += StrFormat(", \"resubmitted_as\": %llu",
-                     static_cast<unsigned long long>(resubmitted_as));
+    out->append(", \"resubmitted_as\": ");
+    AppendDecimal(resubmitted_as, out);
   }
-  out += StrFormat(", \"spans\": {\"submit\": %lld",
-                   static_cast<long long>(client_submit));
-  out += ", \"endorsers\": [";
+  out->append(", \"spans\": {\"submit\": ");
+  AppendDecimal(client_submit, out);
+  out->append(", \"endorsers\": [");
   for (size_t i = 0; i < endorsers.size(); ++i) {
     const EndorserSpan& e = endorsers[i];
-    out += StrFormat(
-        "%s{\"peer\": %d, \"org\": %d, \"sent\": %lld, \"received\": %lld",
-        i == 0 ? "" : ", ", e.peer_id, e.org_id,
-        static_cast<long long>(e.request_sent),
-        static_cast<long long>(e.response_received));
-    if (e.attempt != 0) out += StrFormat(", \"attempt\": %u", e.attempt);
-    out += "}";
+    out->append(i == 0 ? "{\"peer\": " : ", {\"peer\": ");
+    AppendDecimal(e.peer_id, out);
+    out->append(", \"org\": ");
+    AppendDecimal(e.org_id, out);
+    out->append(", \"sent\": ");
+    AppendDecimal(e.request_sent, out);
+    out->append(", \"received\": ");
+    AppendDecimal(e.response_received, out);
+    if (e.attempt != 0) {
+      out->append(", \"attempt\": ");
+      AppendDecimal(e.attempt, out);
+    }
+    out->push_back('}');
   }
-  out += "]";
+  out->push_back(']');
   if (endorsed != 0) {
-    out += StrFormat(", \"endorsed\": %lld", static_cast<long long>(endorsed));
+    out->append(", \"endorsed\": ");
+    AppendDecimal(endorsed, out);
   }
   if (orderer_enqueue != 0) {
-    out += StrFormat(", \"orderer_enqueue\": %lld",
-                     static_cast<long long>(orderer_enqueue));
+    out->append(", \"orderer_enqueue\": ");
+    AppendDecimal(orderer_enqueue, out);
   }
   if (block_cut != 0) {
-    out += StrFormat(", \"block_cut\": %lld",
-                     static_cast<long long>(block_cut));
+    out->append(", \"block_cut\": ");
+    AppendDecimal(block_cut, out);
   }
   if (committed != 0) {
-    out += StrFormat(", \"committed\": %lld",
-                     static_cast<long long>(committed));
+    out->append(", \"committed\": ");
+    AppendDecimal(committed, out);
   }
-  out += "}";
+  out->push_back('}');
   if (failure != nullptr) {
     const FailureAttribution& f = *failure;
-    out += StrFormat(", \"failure\": {\"class\": \"%s\"",
-                     TxValidationCodeToString(f.code));
+    out->append(", \"failure\": {\"class\": \"");
+    out->append(TxValidationCodeToString(f.code));
+    out->push_back('"');
     if (f.mvcc_class != MvccClass::kNone) {
-      out += StrFormat(", \"mvcc_class\": \"%s\"",
-                       f.mvcc_class == MvccClass::kIntraBlock ? "intra_block"
-                                                              : "inter_block");
+      out->append(f.mvcc_class == MvccClass::kIntraBlock
+                      ? ", \"mvcc_class\": \"intra_block\""
+                      : ", \"mvcc_class\": \"inter_block\"");
     }
     if (!f.conflicting_key.empty()) {
-      out += StrFormat(", \"key\": \"%s\"",
-                       JsonEscape(f.conflicting_key).c_str());
-      out += ", \"read_version\": ";
-      out += f.read_found ? VersionJson(f.read_version) : "null";
-      out += ", \"observed_version\": ";
-      out += f.observed_found ? VersionJson(f.observed_version) : "null";
+      out->append(", \"key\": \"");
+      AppendJsonEscaped(f.conflicting_key, out);
+      out->append("\", \"read_version\": ");
+      if (f.read_found) {
+        AppendVersion(f.read_version, out);
+      } else {
+        out->append("null");
+      }
+      out->append(", \"observed_version\": ");
+      if (f.observed_found) {
+        AppendVersion(f.observed_version, out);
+      } else {
+        out->append("null");
+      }
     }
     if (f.conflicting_tx != 0) {
-      out += StrFormat(", \"conflicting_tx\": %llu",
-                       static_cast<unsigned long long>(f.conflicting_tx));
+      out->append(", \"conflicting_tx\": ");
+      AppendDecimal(f.conflicting_tx, out);
     }
     if (f.block_number != 0) {
-      out += StrFormat(", \"block\": %llu",
-                       static_cast<unsigned long long>(f.block_number));
+      out->append(", \"block\": ");
+      AppendDecimal(f.block_number, out);
     }
-    out += "}";
+    out->push_back('}');
   }
-  out += "}";
-  return out;
+  out->push_back('}');
 }
 
 }  // namespace fabricsim

@@ -136,8 +136,8 @@ struct TxTrace {
   SimTime CommitPhase() const { return committed - block_cut; }
   SimTime TotalLatency() const { return committed - client_submit; }
 
-  /// Renders the trace as one JSONL row object.
-  std::string ToJson() const;
+  /// Appends the trace as one JSONL row object (no newline).
+  void AppendJson(std::string* out) const;
 };
 
 }  // namespace fabricsim

@@ -233,52 +233,70 @@ size_t Tracer::ApproxMemoryBytes() const {
 }
 
 std::string Tracer::ExportJsonl(const std::string& config_echo) const {
-  VersionedJsonWriter writer("fabricsim.trace",
-                             VersionedJsonWriter::Format::kJsonl);
+  VersionedJsonWriter writer("fabricsim.trace");
   writer.set_config_echo(config_echo);
   if (num_channels_ > 1) {
     writer.set_schema_version(kObsSchemaVersionChannels);
   }
+  // The header line, then every row appended straight into the same
+  // buffer, reserved up front at a typical row size.
+  std::string out = writer.JsonlHeaderLine();
+  std::vector<const TxTrace*> traces = SortedTraces();
+  out.reserve(out.size() + traces.size() * 640 + peer_commits_.size() * 64 +
+              (fault_events_.size() + raft_events_.size()) * 80);
   if (streaming_) {
     // The full per-transaction body is gone (that is the point); the
     // export leads with the bounded roll-up, then the sampled failure
     // exemplars as ordinary transaction rows.
     const PhaseSketches& sketches = phases();
-    writer.AddRow(StrFormat(
+    out += StrFormat(
         "{\"type\": \"streaming_summary\", \"txs_observed\": %zu, "
         "\"in_flight\": %zu, \"failures_seen\": %llu, \"exemplars\": %zu, "
-        "\"total_p50_ms\": %.3f, \"total_p99_ms\": %.3f}",
+        "\"total_p50_ms\": %.3f, \"total_p99_ms\": %.3f}\n",
         size_, live_.size(),
         static_cast<unsigned long long>(exemplars_.seen()),
         exemplars_.items().size(), sketches.total.Percentile(0.5),
-        sketches.total.Percentile(0.99)));
+        sketches.total.Percentile(0.99));
   }
-  for (const TxTrace* trace : SortedTraces()) {
-    writer.AddRow(trace->ToJson());
+  for (const TxTrace* trace : traces) {
+    trace->AppendJson(&out);
+    out.push_back('\n');
   }
   for (const auto& [key, time] : peer_commits_) {
     ChannelId channel = std::get<0>(key);
-    std::string row = "{\"type\": \"peer_commit\", ";
-    if (channel != 0) row += StrFormat("\"channel\": %d, ", channel);
-    row += StrFormat(
-        "\"block\": %llu, \"peer\": %d, \"committed\": %lld}",
-        static_cast<unsigned long long>(std::get<1>(key)), std::get<2>(key),
-        static_cast<long long>(time));
-    writer.AddRow(std::move(row));
+    out.append("{\"type\": \"peer_commit\", ");
+    if (channel != 0) {
+      out.append("\"channel\": ");
+      AppendDecimal(channel, &out);
+      out.append(", ");
+    }
+    out.append("\"block\": ");
+    AppendDecimal(std::get<1>(key), &out);
+    out.append(", \"peer\": ");
+    AppendDecimal(std::get<2>(key), &out);
+    out.append(", \"committed\": ");
+    AppendDecimal(time, &out);
+    out.append("}\n");
   }
   for (const FaultEventRow& event : fault_events_) {
-    writer.AddRow(StrFormat(
-        "{\"type\": \"fault\", \"kind\": \"%s\", \"subject\": %d, "
-        "\"at\": %lld}",
-        event.kind, event.subject, static_cast<long long>(event.at)));
+    out.append("{\"type\": \"fault\", \"kind\": \"");
+    out.append(event.kind);
+    out.append("\", \"subject\": ");
+    AppendDecimal(event.subject, &out);
+    out.append(", \"at\": ");
+    AppendDecimal(event.at, &out);
+    out.append("}\n");
   }
   for (const RaftEventRow& event : raft_events_) {
-    writer.AddRow(StrFormat(
-        "{\"type\": \"raft\", \"kind\": \"%s\", \"replica\": %d, "
-        "\"term\": %llu, \"at\": %lld}",
-        event.kind, event.replica,
-        static_cast<unsigned long long>(event.term),
-        static_cast<long long>(event.at)));
+    out.append("{\"type\": \"raft\", \"kind\": \"");
+    out.append(event.kind);
+    out.append("\", \"replica\": ");
+    AppendDecimal(event.replica, &out);
+    out.append(", \"term\": ");
+    AppendDecimal(event.term, &out);
+    out.append(", \"at\": ");
+    AppendDecimal(event.at, &out);
+    out.append("}\n");
   }
   // Multi-channel exports close with one summary row per channel — the
   // failure-class roll-up sliced by shard (schema version 2 only, so
@@ -325,19 +343,24 @@ std::string Tracer::ExportJsonl(const std::string& config_echo) const {
     }
     for (size_t c = 0; c < per_channel.size(); ++c) {
       const ChannelCounts& counts = per_channel[c];
-      writer.AddRow(StrFormat(
-          "{\"type\": \"channel_summary\", \"channel\": %zu, "
-          "\"ledger_txs\": %llu, \"valid\": %llu, \"endorsement\": %llu, "
-          "\"mvcc\": %llu, \"phantom\": %llu, \"early_aborted\": %llu}",
-          c, static_cast<unsigned long long>(counts.ledger),
-          static_cast<unsigned long long>(counts.valid),
-          static_cast<unsigned long long>(counts.endorse),
-          static_cast<unsigned long long>(counts.mvcc),
-          static_cast<unsigned long long>(counts.phantom),
-          static_cast<unsigned long long>(counts.early_abort)));
+      out.append("{\"type\": \"channel_summary\", \"channel\": ");
+      AppendDecimal(c, &out);
+      out.append(", \"ledger_txs\": ");
+      AppendDecimal(counts.ledger, &out);
+      out.append(", \"valid\": ");
+      AppendDecimal(counts.valid, &out);
+      out.append(", \"endorsement\": ");
+      AppendDecimal(counts.endorse, &out);
+      out.append(", \"mvcc\": ");
+      AppendDecimal(counts.mvcc, &out);
+      out.append(", \"phantom\": ");
+      AppendDecimal(counts.phantom, &out);
+      out.append(", \"early_aborted\": ");
+      AppendDecimal(counts.early_abort, &out);
+      out.append("}\n");
     }
   }
-  return writer.Render();
+  return out;
 }
 
 }  // namespace fabricsim

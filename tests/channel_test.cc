@@ -533,8 +533,7 @@ TEST(ChannelFaultTest, OrdererPauseStallsEveryChannelsService) {
 // ----------------------------------------------- versioned artifacts
 
 TEST(VersionedArtifactTest, PlainWriterKeepsVersionOneShape) {
-  VersionedJsonWriter writer("fabricsim.bench",
-                             VersionedJsonWriter::Format::kDocument);
+  VersionedJsonWriter writer("fabricsim.bench");
   writer.AddRow("{\"x\": 1}");
   std::string doc = writer.Render();
   EXPECT_EQ(VersionedJsonWriter::ParseSchemaVersion(doc), 1);
@@ -542,14 +541,12 @@ TEST(VersionedArtifactTest, PlainWriterKeepsVersionOneShape) {
 }
 
 TEST(VersionedArtifactTest, HardwareConcurrencyHeaderFieldIsOptIn) {
-  VersionedJsonWriter plain("fabricsim.bench",
-                            VersionedJsonWriter::Format::kDocument);
+  VersionedJsonWriter plain("fabricsim.bench");
   plain.AddRow("{\"x\": 1}");
   // Unset writers keep the pre-annotation byte layout exactly.
   EXPECT_EQ(plain.Render().find("hardware_concurrency"), std::string::npos);
 
-  VersionedJsonWriter annotated("fabricsim.bench",
-                                VersionedJsonWriter::Format::kDocument);
+  VersionedJsonWriter annotated("fabricsim.bench");
   annotated.set_hardware_concurrency(48);
   annotated.AddRow("{\"x\": 1}");
   std::string doc = annotated.Render();
@@ -561,8 +558,7 @@ TEST(VersionedArtifactTest, HardwareConcurrencyHeaderFieldIsOptIn) {
 }
 
 TEST(VersionedArtifactTest, ChannelRowsBumpDocumentToVersionTwo) {
-  VersionedJsonWriter writer("fabricsim.bench",
-                             VersionedJsonWriter::Format::kDocument);
+  VersionedJsonWriter writer("fabricsim.bench");
   writer.AddRow("{\"x\": 1}");
   writer.AddChannelRow(1, "{\"tps\": 40}");
   writer.AddChannelRow(0, "{\"tps\": 60}");

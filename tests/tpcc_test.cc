@@ -1,16 +1,23 @@
 // TPC-C subsystem tests: contract semantics (NewOrder sequencing and
 // invalid-item rollback, Payment balance maths, Delivery backlog
-// consumption, read-only transactions), workload mix shape, and the
-// determinism regression (bitwise-identical reports across
-// FABRICSIM_JOBS 1/4).
+// consumption, read-only transactions, refused malformed input), the
+// row and key codec against the encoders it replaced, workload mix
+// shape, and the determinism regression (bitwise-identical reports
+// across FABRICSIM_JOBS 1/4, and four concurrent repetitions against
+// their serial runs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "src/chaincode/composite_key.h"
 #include "src/chaincode/tpcc/tpcc_chaincode.h"
+#include "src/chaincode/tpcc/tpcc_rows.h"
 #include "src/common/parallel.h"
 #include "src/common/strings.h"
 #include "src/core/runner.h"
@@ -211,6 +218,261 @@ TEST_F(TpccContractTest, UnknownFunctionRejected) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(TpccContractTest, MalformedArgumentIsRefusedNotThrown) {
+  struct Case {
+    Invocation inv;
+    std::string names;  // function and argument index the error names
+  };
+  const std::vector<Case> cases = {
+      {{"NewOrder", {"0", "x", "1", "1", "1", "1"}}, "NewOrder: argument 1"},
+      {{"NewOrder", {"0", "0", "1", "1", "", "1"}}, "NewOrder: argument 4"},
+      {{"NewOrder", {"0", "0", "1", "2", "1", "1", "2", "1e3"}},
+       "NewOrder: argument 7"},
+      {{"Payment", {"1", "2", "9", "12abc"}}, "Payment: argument 3"},
+      {{"Payment", {"+1", "2", "9", "100"}}, "Payment: argument 0"},
+      {{"Delivery", {"abc", "0", "7"}}, "Delivery: argument 0"},
+      {{"OrderStatus", {"0", "1", "2", "99999999999"}},
+       "OrderStatus: argument 3"},
+      {{"StockLevel", {"0", "1", " 15"}}, "StockLevel: argument 2"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.names);
+    ChaincodeStub stub(db_, true);
+    Status status;
+    ASSERT_NO_THROW(status = cc_.Invoke(stub, c.inv));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(c.names), std::string::npos)
+        << status.ToString();
+    // Refused before any state access.
+    EXPECT_TRUE(stub.rwset().reads.empty());
+    EXPECT_TRUE(stub.rwset().writes.empty());
+  }
+}
+
+TEST_F(TpccContractTest, MalformedRowNamesItsTable) {
+  db_.ApplyWrite(
+      WriteItem{tpcc::DistrictKey(0, 1), "{\"docType\":\"district\"}", false},
+      {1, 0});
+  ChaincodeStub stub(db_, true);
+  Status status = cc_.Invoke(stub, Invocation{"Payment", {"0", "1", "2", "5"}});
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_NE(status.message().find("DISTRICT"), std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(stub.rwset().writes.empty());
+}
+
+TEST_F(TpccContractTest, AbsentStockRowReadsAsZeros) {
+  db_.ApplyWrite(WriteItem{tpcc::StockKey(0, 4), "", true}, {1, 0});
+  ChaincodeStub stub(db_, true);
+  ASSERT_TRUE(cc_.Invoke(stub, MakeNewOrder(0, 0, 0, {{4, 3}})).ok());
+  std::optional<std::string> stock = WrittenValue(stub, tpcc::StockKey(0, 4));
+  ASSERT_TRUE(stock.has_value());
+  // 0 - 3 drops below 10, so the shelf restocks by 91.
+  EXPECT_EQ(*stock, (tpcc::StockRow{88, 3, 1}.Encode()));
+}
+
+// ------------------------------------------------------------ row codec
+
+// The encoders the typed rows replaced, kept as the reference: every
+// row is a JsonObject of std::to_string fields, every key a
+// MakeCompositeKey of PadKey attributes. Value and key bytes are
+// simulated data, so the typed codec must match them exactly.
+namespace reference {
+
+std::string S(long long v) { return std::to_string(v); }
+
+std::string Warehouse(const tpcc::WarehouseRow& r) {
+  return JsonObject(
+      {{"docType", "warehouse"}, {"tax_bp", S(r.tax_bp)}, {"ytd", S(r.ytd)}});
+}
+std::string District(const tpcc::DistrictRow& r) {
+  return JsonObject({{"docType", "district"},
+                     {"tax_bp", S(r.tax_bp)},
+                     {"ytd", S(r.ytd)},
+                     {"next_o_id", S(r.next_o_id)}});
+}
+std::string Customer(const tpcc::CustomerRow& r) {
+  return JsonObject({{"docType", "customer"},
+                     {"balance", S(r.balance)},
+                     {"ytd_payment", S(r.ytd_payment)},
+                     {"payments", S(r.payments)}});
+}
+std::string Order(const tpcc::OrderRow& r) {
+  return JsonObject({{"docType", "order"},
+                     {"c_id", S(r.c_id)},
+                     {"ol_cnt", S(r.ol_cnt)},
+                     {"carrier", r.carrier}});
+}
+std::string NewOrder() { return JsonObject({{"docType", "neworder"}}); }
+std::string OrderLine(const tpcc::OrderLineRow& r) {
+  return JsonObject({{"docType", "orderline"},
+                     {"i_id", S(r.i_id)},
+                     {"qty", S(r.qty)},
+                     {"amount", S(r.amount)}});
+}
+std::string Stock(const tpcc::StockRow& r) {
+  return JsonObject({{"docType", "stock"},
+                     {"quantity", S(r.quantity)},
+                     {"ytd", S(r.ytd)},
+                     {"order_cnt", S(r.order_cnt)}});
+}
+std::string Item(const tpcc::ItemRow& r) {
+  return JsonObject({{"docType", "item"}, {"price", S(r.price)}});
+}
+
+std::string Pad(long long v, int width) {
+  return PadKey(static_cast<uint64_t>(v), width);
+}
+std::string Key(const char* table, std::vector<std::string> attrs) {
+  return MakeCompositeKey(table, attrs);
+}
+
+}  // namespace reference
+
+/// Seeded draws that hit the edges often: zero, ±1, the type's
+/// limits, values wider than any pad width, and uniform bits.
+template <typename T>
+T Draw(Rng& rng) {
+  switch (rng.UniformU64(8)) {
+    case 0:
+      return 0;
+    case 1:
+      return std::numeric_limits<T>::max();
+    case 2:
+      return std::numeric_limits<T>::min();
+    case 3:
+      return static_cast<T>(static_cast<int>(rng.UniformU64(3)) - 1);
+    case 4:
+      return static_cast<T>(rng.UniformU64(1000000000));  // wider than pads
+    case 5:
+      return -static_cast<T>(rng.UniformU64(100000));
+    default:
+      return static_cast<T>(rng.NextU64());
+  }
+}
+
+std::string DrawCarrier(Rng& rng) {
+  std::string carrier;
+  size_t length = rng.UniformU64(24);  // past the small-string buffer
+  for (size_t i = 0; i < length; ++i) {
+    carrier.push_back("0123456789abcXYZ-_ "[rng.UniformU64(19)]);
+  }
+  return carrier;
+}
+
+template <typename Row>
+void ExpectRowMatches(const Row& row, const std::string& want, int draw) {
+  std::string got = row.Encode();
+  ASSERT_EQ(got, want) << Row::kTable << " draw " << draw;
+  ASSERT_EQ(got.capacity(), std::max<size_t>(got.size(), 15))
+      << Row::kTable << " draw " << draw;
+  Result<Row> parsed = Row::Parse(got);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(parsed.value() == row) << Row::kTable << " draw " << draw;
+}
+
+TEST(TpccRowCodecTest, EncodeMatchesJsonObjectReferenceAndParseRoundTrips) {
+  Rng rng(2112);
+  for (int i = 0; i < 100000; ++i) {
+    tpcc::WarehouseRow wh{Draw<int>(rng), Draw<long long>(rng)};
+    ExpectRowMatches(wh, reference::Warehouse(wh), i);
+    tpcc::DistrictRow dist{Draw<int>(rng), Draw<long long>(rng),
+                           Draw<long long>(rng)};
+    ExpectRowMatches(dist, reference::District(dist), i);
+    tpcc::CustomerRow cust{Draw<long long>(rng), Draw<long long>(rng),
+                           Draw<long long>(rng)};
+    ExpectRowMatches(cust, reference::Customer(cust), i);
+    tpcc::OrderRow order{Draw<int>(rng), Draw<int>(rng), DrawCarrier(rng)};
+    ExpectRowMatches(order, reference::Order(order), i);
+    ExpectRowMatches(tpcc::NewOrderRow{}, reference::NewOrder(), i);
+    tpcc::OrderLineRow line{Draw<int>(rng), Draw<int>(rng),
+                            Draw<long long>(rng)};
+    ExpectRowMatches(line, reference::OrderLine(line), i);
+    tpcc::StockRow stock{Draw<long long>(rng), Draw<long long>(rng),
+                         Draw<long long>(rng)};
+    ExpectRowMatches(stock, reference::Stock(stock), i);
+    tpcc::ItemRow item{Draw<int>(rng)};
+    ExpectRowMatches(item, reference::Item(item), i);
+    if (HasFatalFailure()) return;
+  }
+}
+
+void ExpectKeyMatches(const std::string& got, const std::string& want,
+                      int draw) {
+  ASSERT_EQ(got, want) << "draw " << draw;
+  ASSERT_EQ(got.capacity(), std::max<size_t>(got.size(), 15))
+      << "draw " << draw;
+}
+
+TEST(TpccRowCodecTest, KeyBuildersMatchMakeCompositeKeyReference) {
+  using reference::Key;
+  using reference::Pad;
+  Rng rng(1122);
+  for (int i = 0; i < 100000; ++i) {
+    int w = Draw<int>(rng), d = Draw<int>(rng), c = Draw<int>(rng);
+    int o = Draw<int>(rng), l = Draw<int>(rng), item = Draw<int>(rng);
+    long long lo = Draw<long long>(rng);
+    ExpectKeyMatches(tpcc::WarehouseKey(w),
+                     Key(tpcc::kWarehouseTable, {Pad(w, 4)}), i);
+    ExpectKeyMatches(tpcc::DistrictKey(w, d),
+                     Key(tpcc::kDistrictTable, {Pad(w, 4), Pad(d, 2)}), i);
+    ExpectKeyMatches(
+        tpcc::CustomerKey(w, d, c),
+        Key(tpcc::kCustomerTable, {Pad(w, 4), Pad(d, 2), Pad(c, 5)}), i);
+    ExpectKeyMatches(tpcc::OrderKey(w, d, o),
+                     Key(tpcc::kOrderTable, {Pad(w, 4), Pad(d, 2), Pad(o, 8)}),
+                     i);
+    ExpectKeyMatches(
+        tpcc::NewOrderKey(w, d, o),
+        Key(tpcc::kNewOrderTable, {Pad(w, 4), Pad(d, 2), Pad(o, 8)}), i);
+    ExpectKeyMatches(tpcc::OrderLineKey(w, d, o, l),
+                     Key(tpcc::kOrderLineTable,
+                         {Pad(w, 4), Pad(d, 2), Pad(o, 8), Pad(l, 2)}),
+                     i);
+    ExpectKeyMatches(tpcc::StockKey(w, item),
+                     Key(tpcc::kStockTable, {Pad(w, 4), Pad(item, 5)}), i);
+    ExpectKeyMatches(tpcc::ItemKey(item),
+                     Key(tpcc::kItemTable, {Pad(item, 5)}), i);
+    ExpectKeyMatches(tpcc::NewOrderPrefix(w, d),
+                     Key(tpcc::kNewOrderTable, {Pad(w, 4), Pad(d, 2)}), i);
+    ExpectKeyMatches(
+        tpcc::OrderLinePrefix(w, d, lo),
+        Key(tpcc::kOrderLineTable, {Pad(w, 4), Pad(d, 2), Pad(lo, 8)}), i);
+    if (o >= 0) {
+      ASSERT_EQ(tpcc::OrderIdOfNewOrderKey(tpcc::NewOrderKey(w, d, o)), o)
+          << "draw " << i;
+    }
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_FALSE(tpcc::OrderIdOfNewOrderKey(tpcc::OrderLineKey(0, 0, 1, 1))
+                   .has_value());
+  EXPECT_FALSE(tpcc::OrderIdOfNewOrderKey("NEWORDER").has_value());
+}
+
+TEST(TpccRowCodecTest, ParseAcceptsOnlyTheEncodedLayout) {
+  EXPECT_TRUE(tpcc::DistrictRow::Parse(reference::District({1, 2, 3})).ok());
+  for (const char* bad : {
+           "",
+           "{\"docType\":\"district\",\"tax_bp\":\"1\",\"ytd\":\"2\"}",
+           "{\"docType\":\"stock\",\"tax_bp\":\"1\",\"ytd\":\"2\","
+           "\"next_o_id\":\"3\"}",
+           "{\"docType\":\"district\",\"ytd\":\"2\",\"tax_bp\":\"1\","
+           "\"next_o_id\":\"3\"}",
+           "{\"docType\":\"district\",\"tax_bp\":\"x\",\"ytd\":\"2\","
+           "\"next_o_id\":\"3\"}",
+           "{\"docType\":\"district\",\"tax_bp\":\"99999999999\",\"ytd\":"
+           "\"2\",\"next_o_id\":\"3\"}",
+           "{\"docType\":\"district\",\"tax_bp\":\"1\",\"ytd\":\"2\","
+           "\"next_o_id\":\"3\"} ",
+       }) {
+    SCOPED_TRACE(bad);
+    Result<tpcc::DistrictRow> parsed = tpcc::DistrictRow::Parse(bad);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInternal);
+    EXPECT_NE(parsed.status().message().find("DISTRICT"), std::string::npos);
+  }
+}
+
 // ------------------------------------------------------------ workload
 
 TEST(TpccWorkloadTest, MixMatchesKlenikWeights) {
@@ -321,6 +583,39 @@ TEST(TpccDeterminismTest, BitwiseIdenticalAcrossJobs) {
         << "jobs=" << jobs;
   }
   SetParallelJobs(saved_jobs);
+}
+
+// Four repetitions fan out over four worker threads, so TPC-C runs
+// share the process (and the registered chaincode) concurrently; every
+// repetition must still match its serial run.
+TEST(TpccDeterminismTest, ConcurrentRepetitionsMatchSerialRuns) {
+  ExperimentConfig config = ExperimentConfig::Builder()
+                                .Chaincode("tpcc")
+                                .Duration(10 * kSecond)
+                                .RateTps(100)
+                                .Repetitions(4)
+                                .Seed(7)
+                                .Build();
+  int saved_jobs = ParallelJobs();
+  SetParallelJobs(1);
+  Result<ExperimentResult> serial = RunExperiment(config);
+  SetParallelJobs(4);
+  Result<ExperimentResult> concurrent = RunExperiment(config);
+  SetParallelJobs(saved_jobs);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_TRUE(concurrent.ok()) << concurrent.status().ToString();
+  ASSERT_EQ(serial.value().repetitions.size(), 4u);
+  ASSERT_EQ(concurrent.value().repetitions.size(), 4u);
+  std::set<std::string> distinct;
+  for (size_t r = 0; r < 4; ++r) {
+    std::string want = Fingerprint(serial.value().repetitions[r]);
+    EXPECT_EQ(Fingerprint(concurrent.value().repetitions[r]), want)
+        << "repetition " << r;
+    distinct.insert(want);
+  }
+  // Each repetition runs its own seed; identical runs would make the
+  // comparison vacuous.
+  EXPECT_GT(distinct.size(), 1u);
 }
 
 }  // namespace
