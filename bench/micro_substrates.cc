@@ -1,13 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the hot substrates: state
 // database operations, Zipfian sampling, rw-set digests, conflict
-// graph construction, policy evaluation and the event queue.
+// graph construction, policy evaluation, the event queue and the
+// serial work queue.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "src/common/rng.h"
 #include "src/common/strings.h"
 #include "src/ext/fabricpp/conflict_graph.h"
 #include "src/policy/policy_presets.h"
 #include "src/sim/environment.h"
+#include "src/sim/work_queue.h"
 #include "src/statedb/memory_state_db.h"
 
 namespace fabricsim {
@@ -108,6 +112,51 @@ void BM_EventQueueChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueChurn);
+
+// Empty lambdas above fit even std::function's small buffer. The actors
+// capture more: a `this`, a shared payload and an id or two (~40 B),
+// which std::function would box on the heap.
+void BM_EventQueueChurnActorCapture(benchmark::State& state) {
+  struct Actor {
+    uint64_t handled = 0;
+  } actor;
+  auto payload = std::make_shared<uint64_t>(state.range(0));
+  for (auto _ : state) {
+    Environment env(1);
+    for (uint64_t i = 0; i < 1000; ++i) {
+      uint64_t tx = i * 7;
+      env.Schedule(static_cast<SimTime>(i % 97),
+                   [actor = &actor, payload, i, tx] {
+                     actor->handled += *payload + i + tx;
+                   });
+    }
+    env.RunAll();
+    benchmark::DoNotOptimize(actor.handled);
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_EventQueueChurnActorCapture)->Arg(1);
+
+// One serial server: submit a backlog, then drain it, each task's
+// completion capturing the same ~40 B as above.
+void BM_WorkQueueSubmitAndComplete(benchmark::State& state) {
+  uint64_t done = 0;
+  auto payload = std::make_shared<uint64_t>(state.range(0));
+  for (auto _ : state) {
+    Environment env(1);
+    WorkQueue queue("bench");
+    for (uint64_t i = 0; i < 1000; ++i) {
+      uint64_t tx = i * 7;
+      queue.Submit(
+          env, [i] { return static_cast<SimTime>(i % 5); },
+          [done = &done, payload, i, tx] { *done += *payload + i + tx; });
+    }
+    env.RunAll();
+    benchmark::DoNotOptimize(done);
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_WorkQueueSubmitAndComplete)->Arg(1);
 
 }  // namespace
 }  // namespace fabricsim

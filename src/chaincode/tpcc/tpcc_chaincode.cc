@@ -57,6 +57,13 @@ Status ParseArgs(const char* function, const std::vector<std::string>& args,
   return status;
 }
 
+/// The refusal of an argument whose value would overflow a row field
+/// it is added to or subtracted from.
+Status OverflowError(const char* function, const std::string& arg) {
+  return Status::InvalidArgument(
+      StrFormat("%s: %s overflows the row it updates", function, arg.c_str()));
+}
+
 }  // namespace
 
 TpccChaincode::TpccChaincode(TpccConfig config) : config_(config) {}
@@ -173,9 +180,15 @@ Status TpccChaincode::NewOrder(ChaincodeStub& stub,
       stock = parsed.value();
     }
     // TPC-C §2.4.2.2: restock by 91 when the shelf would drop below 10.
-    long long s_qty = stock.quantity;
-    stock.quantity = s_qty - qty >= 10 ? s_qty - qty : s_qty - qty + 91;
-    stock.ytd += qty;
+    long long left = 0;
+    long long ytd = 0;
+    if (__builtin_sub_overflow(stock.quantity, qty, &left) ||
+        (left < 10 && __builtin_add_overflow(left, 91, &left)) ||
+        __builtin_add_overflow(stock.ytd, qty, &ytd)) {
+      return OverflowError("NewOrder", StrFormat("quantity %d", l));
+    }
+    stock.quantity = left;
+    stock.ytd = ytd;
     ++stock.order_cnt;
     stub.PutState(StockKey(w, item), stock.Encode());
     stub.PutState(OrderLineKey(w, d, o, l),
@@ -214,11 +227,19 @@ Status TpccChaincode::Payment(ChaincodeStub& stub,
   // district signal Klenik & Kocsis's analysis attributes the
   // conflicts to. Payment therefore writes the same district row
   // NewOrder sequences on, doubling down on the district hotspot.
-  dist.value().ytd += amount;
-  stub.PutState(DistrictKey(w, d), dist.value().Encode());
   CustomerRow& customer = cust.value();
-  customer.balance -= amount;
-  customer.ytd_payment += amount;
+  long long d_ytd = 0;
+  long long balance = 0;
+  long long ytd_payment = 0;
+  if (__builtin_add_overflow(dist.value().ytd, amount, &d_ytd) ||
+      __builtin_sub_overflow(customer.balance, amount, &balance) ||
+      __builtin_add_overflow(customer.ytd_payment, amount, &ytd_payment)) {
+    return OverflowError("Payment", "amount");
+  }
+  dist.value().ytd = d_ytd;
+  stub.PutState(DistrictKey(w, d), dist.value().Encode());
+  customer.balance = balance;
+  customer.ytd_payment = ytd_payment;
   ++customer.payments;
   stub.PutState(CustomerKey(w, d, c), customer.Encode());
   return Status::OK();

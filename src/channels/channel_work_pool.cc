@@ -5,8 +5,7 @@
 namespace fabricsim {
 
 void ChannelWorkPool::Submit(Environment& env, ChannelId channel,
-                             std::function<SimTime()> at_start,
-                             std::function<void()> at_end) {
+                             InlineFn<SimTime()> at_start, EventFn at_end) {
   EnsureChannel(channel);
   pending_.push_back(
       Task{env.now(), channel, std::move(at_start), std::move(at_end)});
@@ -36,21 +35,27 @@ void ChannelWorkPool::TryDispatch(Environment& env) {
     if (service < 0) service = 0;
     total_service_ += service;
     channel_service_[ch] += service;
-    env.Schedule(service, [this, &env, ch, at_end = std::move(task.at_end)]() {
-      ++tasks_completed_;
-      ++channel_completed_[ch];
-      if (at_end) at_end();
-      channel_busy_[ch] = 0;
-      --in_service_;
-      TryDispatch(env);
-    });
+    channel_end_[ch] = std::move(task.at_end);
+    env.Schedule(service, [this, &env, ch]() { Finish(env, ch); });
   }
+}
+
+void ChannelWorkPool::Finish(Environment& env, size_t ch) {
+  ++tasks_completed_;
+  ++channel_completed_[ch];
+  // Moved out first: at_end may submit to this pool.
+  EventFn at_end = std::move(channel_end_[ch]);
+  if (at_end) at_end();
+  channel_busy_[ch] = 0;
+  --in_service_;
+  TryDispatch(env);
 }
 
 void ChannelWorkPool::EnsureChannel(ChannelId channel) {
   size_t need = static_cast<size_t>(channel) + 1;
   if (channel_busy_.size() >= need) return;
   channel_busy_.resize(need, 0);
+  channel_end_.resize(need);
   channel_service_.resize(need, 0);
   channel_completed_.resize(need, 0);
   channel_delay_stats_.resize(need);

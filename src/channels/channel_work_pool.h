@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,7 +30,9 @@ namespace fabricsim {
 ///
 /// Task phases match WorkQueue: `at_start` runs synchronously when a
 /// worker picks the task up and returns the service time; `at_end`
-/// runs when that time has elapsed. With a single channel the pool
+/// runs when that time has elapsed, and waits in its channel's slot
+/// meanwhile, so the completion event captures only the pool and the
+/// channel. With a single channel the pool
 /// degenerates to WorkQueue — same events, same timestamps, same
 /// counter updates — which is what keeps 1-channel runs byte-identical
 /// to the pre-channel pipeline.
@@ -42,7 +43,7 @@ class ChannelWorkPool {
 
   /// Enqueues a task for `channel`. Either callback may be empty.
   void Submit(Environment& env, ChannelId channel,
-              std::function<SimTime()> at_start, std::function<void()> at_end);
+              InlineFn<SimTime()> at_start, EventFn at_end);
 
   /// Number of tasks waiting or in service.
   size_t depth() const { return pending_.size() + in_service_; }
@@ -75,13 +76,15 @@ class ChannelWorkPool {
   struct Task {
     SimTime submitted;
     ChannelId channel;
-    std::function<SimTime()> at_start;
-    std::function<void()> at_end;
+    InlineFn<SimTime()> at_start;
+    EventFn at_end;
   };
 
   /// Starts eligible tasks while workers are free. Called on submit
   /// and on every task completion.
   void TryDispatch(Environment& env);
+  /// The completion event of `channel`'s task in service.
+  void Finish(Environment& env, size_t channel);
 
   void EnsureChannel(ChannelId channel);
 
@@ -94,6 +97,8 @@ class ChannelWorkPool {
   SummaryStats queue_delay_stats_;
   /// Indexed by channel; grown on first use.
   std::vector<char> channel_busy_;
+  /// at_end of each channel's task in service.
+  std::vector<EventFn> channel_end_;
   std::vector<SimTime> channel_service_;
   std::vector<uint64_t> channel_completed_;
   std::vector<SummaryStats> channel_delay_stats_;

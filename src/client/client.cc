@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
+#include <set>
 #include <utility>
 
 #include "src/obs/tracer.h"
@@ -77,7 +77,7 @@ void Client::Submit(TxId tx_id, Invocation invocation, int resubmit_count,
   // Built in place: the in_flight_ entry is the transaction's only
   // PendingTx from submission to FinalizeTx.
   PendingTx& pending = in_flight_.try_emplace(tx_id).first->second;
-  pending.invocation = std::move(invocation);
+  pending.invocation = std::make_shared<Invocation>(std::move(invocation));
   pending.channel = channel;
   pending.submit_time = p_.env->now();
   pending.rr_base = round_robin_;
@@ -89,29 +89,34 @@ void Client::Submit(TxId tx_id, Invocation invocation, int resubmit_count,
     retry_budget_->OnSubmit();
   }
   if (Tracer* tracer = p_.env->tracer()) {
-    tracer->OnClientSubmit(tx_id, pending.invocation.function, channel,
+    tracer->OnClientSubmit(tx_id, pending.invocation->function, channel,
                            p_.env->now());
   }
 
   // One endorsing peer per organization of a minimal policy-
   // satisfying set (service-discovery style), round-robin within the
   // org (flow step 1). For P0 (all orgs) this is every organization.
-  std::vector<Peer*> targets;
-  for (OrgId org : p_.policy->ChooseSatisfyingOrgs(round_robin_)) {
+  const std::vector<OrgId>* orgs = p_.policy->SatisfyingOrgPlan(round_robin_);
+  std::vector<OrgId> unplanned;
+  if (orgs == nullptr) {
+    std::set<OrgId> chosen = p_.policy->ChooseSatisfyingOrgs(round_robin_);
+    unplanned.assign(chosen.begin(), chosen.end());
+    orgs = &unplanned;
+  }
+  pending.proposed_orgs.reserve(orgs->size());
+  pending.responses.reserve(orgs->size());
+  for (OrgId org : *orgs) {
     // A policy may reference orgs beyond the deployed cluster (e.g. a
     // preset instantiated for more orgs than exist); treat them like
     // orgs with no endorsing peers instead of indexing out of bounds.
-    if (org < 0 || static_cast<size_t>(org) >= p_.peers_by_org.size()) {
+    if (org < 0 || static_cast<size_t>(org) >= p_.peers_by_org.size() ||
+        p_.peers_by_org[static_cast<size_t>(org)].empty()) {
       continue;
     }
-    const std::vector<Peer*>& org_peers =
-        p_.peers_by_org[static_cast<size_t>(org)];
-    if (org_peers.empty()) continue;
-    targets.push_back(org_peers[round_robin_ % org_peers.size()]);
     pending.proposed_orgs.push_back(org);
   }
   ++round_robin_;
-  if (targets.empty()) {
+  if (pending.proposed_orgs.empty()) {
     // No org has an endorsing peer, so an endorsement set can never be
     // gathered. Drop now instead of parking the transaction in
     // in_flight_ forever (the entry used to leak).
@@ -122,9 +127,13 @@ void Client::Submit(TxId tx_id, Invocation invocation, int resubmit_count,
     }
     return;
   }
-  if (p_.admission != nullptr) pending.proposed_peers = targets;
-
-  for (Peer* peer : targets) SendProposal(tx_id, pending, peer, /*attempt=*/0);
+  for (OrgId org : pending.proposed_orgs) {
+    const std::vector<Peer*>& org_peers =
+        p_.peers_by_org[static_cast<size_t>(org)];
+    Peer* peer = org_peers[pending.rr_base % org_peers.size()];
+    if (p_.admission != nullptr) pending.proposed_peers.push_back(peer);
+    SendProposal(tx_id, pending, peer, /*attempt=*/0);
+  }
   if (p_.retry.retries_enabled()) ScheduleEndorseTimeout(tx_id, 0);
 }
 
@@ -140,19 +149,22 @@ void Client::SendProposal(TxId tx_id, const PendingTx& pending, Peer* peer,
     tracer->OnEndorseRequest(tx_id, peer->id(), peer->org(), attempt,
                              p_.env->now());
   }
-  request.reply = [this, peer_node](const ProposalResponse& response) {
+  request.reply = [this, peer_node](ProposalResponse response) {
     uint64_t bytes = response.rwset.byte_size() + 96;
     // Large rw-sets (DV/SCM range scans) make responses heavy on the
-    // wire; in memory the sealed rw-set is shared, and one copy of the
-    // response rides the network callback.
-    auto shared = std::make_shared<ProposalResponse>(response);
-    p_.net->Send(*p_.env, peer_node, p_.node, bytes,
-                 [this, shared]() { OnEndorsement(std::move(*shared)); });
+    // wire; in memory the sealed rw-set is shared, and the response
+    // moves into the network callback.
+    auto deliver = [this, response = std::move(response)]() mutable {
+      OnEndorsement(std::move(response));
+    };
+    static_assert(EventFn::FitsInline<decltype(deliver)>());
+    p_.net->Send(*p_.env, peer_node, p_.node, bytes, std::move(deliver));
   };
-  p_.net->Send(*p_.env, p_.node, peer_node, 300,
-               [peer, request = std::move(request)]() mutable {
-                 peer->HandleProposal(std::move(request));
-               });
+  auto deliver = [peer, request = std::move(request)]() mutable {
+    peer->HandleProposal(std::move(request));
+  };
+  static_assert(EventFn::FitsInline<decltype(deliver)>());
+  p_.net->Send(*p_.env, p_.node, peer_node, 300, std::move(deliver));
 }
 
 void Client::ScheduleEndorseTimeout(TxId tx_id, int attempt) {
@@ -350,14 +362,16 @@ void Client::FinalizeTx(TxId tx_id, PendingTx& pending) {
   // that group's rw-set as the envelope payload. The paper's default
   // flow skips the optional client-side consistency check (step 3), so
   // mismatching signatures travel along and fail VSCC later.
-  std::map<uint64_t, size_t> group_counts;
-  for (const ProposalResponse& r : pending.responses) {
-    group_counts[r.endorsement.rwset_digest]++;
-  }
+  // One response per targeted org, so counting by pairs is cheap.
   uint64_t best_digest = 0;
   size_t best_count = 0;
   for (const ProposalResponse& r : pending.responses) {
-    size_t count = group_counts[r.endorsement.rwset_digest];
+    size_t count = 0;
+    for (const ProposalResponse& other : pending.responses) {
+      if (other.endorsement.rwset_digest == r.endorsement.rwset_digest) {
+        ++count;
+      }
+    }
     if (count > best_count) {
       best_count = count;
       best_digest = r.endorsement.rwset_digest;
@@ -369,9 +383,15 @@ void Client::FinalizeTx(TxId tx_id, PendingTx& pending) {
   tx.channel = pending.channel;
   tx.chaincode = p_.workload->chaincode();
   // The caller erases `pending` right after this call, so its
-  // invocation and endorsements move into the transaction.
-  tx.function = std::move(pending.invocation.function);
-  tx.args = std::move(pending.invocation.args);
+  // endorsements move into the transaction, and so does its invocation
+  // once no proposal still shares it.
+  if (pending.invocation.use_count() == 1) {
+    tx.function = std::move(pending.invocation->function);
+    tx.args = std::move(pending.invocation->args);
+  } else {
+    tx.function = pending.invocation->function;
+    tx.args = pending.invocation->args;
+  }
   tx.client_submit_time = pending.submit_time;
   tx.deadline = pending.deadline;
   tx.endorsed_time = p_.env->now();
@@ -419,14 +439,14 @@ void Client::FinalizeTx(TxId tx_id, PendingTx& pending) {
       static_cast<SimTime>(pending.responses.size());
   uint64_t bytes = tx.ByteSize();
   ChannelId channel = pending.channel;
-  auto shared_tx = std::make_shared<Transaction>(std::move(tx));
   const std::vector<Params::OrdererEndpoint>& endpoints =
       EndpointsFor(channel);
   if (!endpoints.empty()) {
     // Replicated ordering: keep the envelope around until a replica
     // acks it, starting at the channel's last known leader.
     int replica = LeaderHintFor(channel) % static_cast<int>(endpoints.size());
-    awaiting_order_ack_[tx_id] = PendingOrder{shared_tx, replica, 0, channel};
+    awaiting_order_ack_[tx_id] = PendingOrder{
+        std::make_shared<Transaction>(std::move(tx)), replica, 0, channel};
     p_.env->Schedule(collect_cost, [this, tx_id, replica]() {
       BroadcastToOrderer(tx_id, replica, /*attempt=*/0);
     });
@@ -435,27 +455,29 @@ void Client::FinalizeTx(TxId tx_id, PendingTx& pending) {
   Orderer* orderer = p_.channel_orderers.empty()
                          ? p_.orderer
                          : p_.channel_orderers[static_cast<size_t>(channel)];
+  auto envelope = std::make_unique<Transaction>(std::move(tx));
   if (p_.admission != nullptr && p_.admission->orderer_bounded()) {
     // Backpressure-aware handoff: a rejected envelope produces an
     // explicit throttle signal that rides back over the network.
-    p_.env->Schedule(collect_cost, [this, shared_tx, bytes, orderer]() {
-      TxId id = shared_tx->id;
+    p_.env->Schedule(collect_cost, [this, envelope = std::move(envelope),
+                                    bytes, orderer]() mutable {
       p_.net->Send(
           *p_.env, p_.node, p_.orderer_node, bytes,
-          [this, orderer, shared_tx, id]() {
-            orderer->SubmitTransaction(
-                std::move(*shared_tx), [this, id]() {
-                  p_.net->Send(*p_.env, p_.orderer_node, p_.node, 48,
-                               [this, id]() { OnOrdererThrottle(id); });
-                });
+          [this, orderer, envelope = std::move(envelope)]() {
+            TxId id = envelope->id;
+            orderer->SubmitTransaction(std::move(*envelope), [this, id]() {
+              p_.net->Send(*p_.env, p_.orderer_node, p_.node, 48,
+                           [this, id]() { OnOrdererThrottle(id); });
+            });
           });
     });
     return;
   }
-  p_.env->Schedule(collect_cost, [this, shared_tx, bytes, orderer]() {
+  p_.env->Schedule(collect_cost, [this, envelope = std::move(envelope), bytes,
+                                  orderer]() mutable {
     p_.net->Send(*p_.env, p_.node, p_.orderer_node, bytes,
-                 [orderer, shared_tx]() {
-                   orderer->SubmitTransaction(std::move(*shared_tx));
+                 [orderer, envelope = std::move(envelope)]() {
+                   orderer->SubmitTransaction(std::move(*envelope));
                  });
   });
 }
@@ -562,15 +584,15 @@ void Client::OnCommittedResult(TxId tx_id, TxValidationCode code) {
   if (Tracer* tracer = p_.env->tracer()) {
     tracer->OnResubmit(tx_id, new_id, p_.env->now());
   }
-  auto invocation = std::make_shared<Invocation>(std::move(meta.invocation));
   int next_count = meta.resubmit_count + 1;
   ChannelId channel = meta.channel;
   // The resubmission re-executes against fresh state — it is a brand
   // new transaction to the rest of the pipeline (on the original
   // channel), and can of course conflict again (retry amplification).
   p_.env->Schedule(p_.retry.resubmit_backoff,
-                   [this, new_id, invocation, next_count, channel]() {
-                     Submit(new_id, std::move(*invocation), next_count,
+                   [this, new_id, invocation = std::move(meta.invocation),
+                    next_count, channel]() mutable {
+                     Submit(new_id, std::move(invocation), next_count,
                             channel);
                    });
 }

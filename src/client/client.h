@@ -162,7 +162,8 @@ class Client {
 
  private:
   struct PendingTx {
-    Invocation invocation;
+    /// Shared with every ProposalRequest of the transaction.
+    std::shared_ptr<Invocation> invocation;
     /// Channel drawn (via the affinity model) at submission; carried
     /// through endorsement, ordering, and any resubmission.
     ChannelId channel = 0;

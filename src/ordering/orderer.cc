@@ -73,11 +73,11 @@ void Orderer::Resume() {
 }
 
 void Orderer::Ingest(Transaction tx) {
-  auto shared_tx = std::make_shared<Transaction>(std::move(tx));
+  auto envelope = std::make_unique<Transaction>(std::move(tx));
   queue_.Submit(
       *env_, [this]() -> SimTime { return timing_.orderer_per_tx_cost; },
-      [this, shared_tx]() {
-        if (shared_tx->deadline > 0 && env_->now() > shared_tx->deadline) {
+      [this, envelope = std::move(envelope)]() {
+        if (envelope->deadline > 0 && env_->now() > envelope->deadline) {
           // The client stopped caring while the envelope queued at
           // ingress: drop it before it occupies a block slot and a
           // validation pass on every peer.
@@ -86,7 +86,7 @@ void Orderer::Ingest(Transaction tx) {
             ++admission_stats_->deadline_expired_order;
           }
           if (Tracer* tracer = env_->tracer()) {
-            tracer->OnAdmissionDrop(shared_tx->id,
+            tracer->OnAdmissionDrop(envelope->id,
                                     TraceTerminal::kDeadlineExpired,
                                     TxValidationCode::kDeadlineExpiredOrder,
                                     env_->now());
@@ -95,15 +95,15 @@ void Orderer::Ingest(Transaction tx) {
         }
         TxValidationCode reject_code = TxValidationCode::kNotValidated;
         if (processor_ != nullptr &&
-            !processor_->Admit(*shared_tx, &reject_code)) {
+            !processor_->Admit(*envelope, &reject_code)) {
           ++txs_early_aborted_;
           if (Tracer* tracer = env_->tracer()) {
-            tracer->OnEarlyAbort(shared_tx->id, reject_code, env_->now());
+            tracer->OnEarlyAbort(envelope->id, reject_code, env_->now());
           }
-          if (on_early_abort_) on_early_abort_(*shared_tx, reject_code);
+          if (on_early_abort_) on_early_abort_(*envelope, reject_code);
           return;
         }
-        HandleAdmitted(std::move(*shared_tx));
+        HandleAdmitted(std::move(*envelope));
       });
 }
 
@@ -193,12 +193,14 @@ void Orderer::CutBlock(std::vector<Transaction> txs, BlockCutReason reason) {
   SimTime consensus_latency = consensus_.SampleLatency(rng_);
   queue_.Submit(
       *env_, [assembly]() -> SimTime { return assembly; },
-      [this, block, consensus_latency]() {
-        env_->Schedule(consensus_latency, [this, block]() {
+      [this, block = std::move(block), consensus_latency]() mutable {
+        env_->Schedule(consensus_latency, [this, block = std::move(block)]() {
           const uint64_t bytes = block->ByteSize();
+          // peers_ is fixed at construction, so each delivery refers to
+          // its endpoint's handler instead of copying it.
           for (const Params::PeerEndpoint& peer : peers_) {
             net_->Send(*env_, node_, peer.node, bytes,
-                       [deliver = peer.deliver, block]() { deliver(block); });
+                       [deliver = &peer.deliver, block]() { (*deliver)(block); });
           }
         });
       });

@@ -65,23 +65,21 @@ void Peer::HandleProposal(ProposalRequest request) {
     HandleProposalAdmitted(std::move(request));
     return;
   }
-  auto simulation =
-      std::make_shared<std::shared_ptr<const EndorsementResult>>();
-  auto req = std::make_shared<ProposalRequest>(std::move(request));
-  endorse_queue_.Submit(
-      *env_,
-      [this, simulation, req]() -> SimTime {
-        if (!alive_) return 0;  // crashed while queued: abandon silently
-        *simulation = Simulate(*req);
-        return EndorseServiceTime(**simulation);
-      },
-      [this, simulation, req]() {
-        if (*simulation == nullptr || !alive_) {
-          ++proposals_dropped_;
-          return;
-        }
-        ReplyEndorsed(*req, **simulation);
-      });
+  auto task = std::make_shared<EndorseTask>();
+  task->req = std::move(request);
+  InlineFn<SimTime()> at_start = [this, task]() -> SimTime {
+    if (!alive_) return 0;  // crashed while queued: abandon silently
+    task->simulation = Simulate(task->req);
+    return EndorseServiceTime(*task->simulation);
+  };
+  endorse_queue_.Submit(*env_, std::move(at_start),
+                        [this, task = std::move(task)]() {
+                          if (task->simulation == nullptr || !alive_) {
+                            ++proposals_dropped_;
+                            return;
+                          }
+                          ReplyEndorsed(task->req, *task->simulation);
+                        });
 }
 
 std::shared_ptr<const EndorsementResult> Peer::Simulate(
@@ -94,8 +92,8 @@ std::shared_ptr<const EndorsementResult> Peer::Simulate(
   const StateView& view = *ch.endorse_view;
   const bool rich = db_profile_.supports_rich_queries;
   return ch.store->GetOrSimulate(
-      view.height(), ch.chaincode, rich, request.invocation, [&] {
-        return SimulateProposal(view, *ch.chaincode, request.invocation,
+      view.height(), ch.chaincode, rich, *request.invocation, [&] {
+        return SimulateProposal(view, *ch.chaincode, *request.invocation,
                                 rich);
       });
 }
@@ -116,7 +114,7 @@ void Peer::ReplyEndorsed(const ProposalRequest& request,
   response.rwset = simulation.rwset;
   response.endorsement = Endorsement{id_, org_, simulation.rwset.digest(),
                                      /*signature_valid=*/true};
-  request.reply(response);
+  request.reply(std::move(response));
 }
 
 void Peer::CancelProposal(TxId tx_id) {
@@ -138,7 +136,7 @@ void Peer::SendRejectReply(const ProposalRequest& request,
   // (and so per-org counters line up with the reply stream).
   response.endorsement.peer_id = id_;
   response.endorsement.org_id = org_;
-  request.reply(response);
+  request.reply(std::move(response));
 }
 
 void Peer::HandleProposalAdmitted(ProposalRequest request) {

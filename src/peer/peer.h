@@ -28,12 +28,14 @@ namespace fabricsim {
 /// network.
 struct ProposalRequest {
   TxId tx_id = 0;
-  ChannelId channel = 0;
-  Invocation invocation;
+  /// The transaction's invocation, shared by every endorser it is
+  /// proposed to.
+  std::shared_ptr<const Invocation> invocation;
   /// Client deadline carried with the proposal (overload protection);
   /// 0 = none.
   SimTime deadline = 0;
-  std::function<void(const struct ProposalResponse&)> reply;
+  std::function<void(struct ProposalResponse)> reply;
+  ChannelId channel = 0;
 };
 
 /// Why an endorser refused to execute a proposal (overload protection
@@ -53,8 +55,8 @@ struct ProposalResponse {
   Endorsement endorsement;
   /// The endorser's sealed rw-set, shared with its simulation.
   SealedRwSet rwset;
-  bool app_ok = true;
   std::string app_error;
+  bool app_ok = true;
   /// Set when the endorser refused the proposal instead of executing
   /// it; endorsement/rwset are empty in that case.
   ProposalReject reject = ProposalReject::kNone;
@@ -227,6 +229,14 @@ class Peer {
     std::vector<PeerChainRecord> chain_records;
     std::map<uint64_t, std::shared_ptr<const Block>> reorder_buffer;
     SimTime last_snapshot_apply = 0;
+  };
+
+  /// One proposal on the legacy endorsement path, shared by its
+  /// queue task's two phases.
+  struct EndorseTask {
+    ProposalRequest req;
+    /// Set once the proposal was executed.
+    std::shared_ptr<const EndorsementResult> simulation;
   };
 
   /// One proposal tracked by the admission machinery while it queues.

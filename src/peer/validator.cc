@@ -17,13 +17,23 @@ bool EndorsementSatisfiesPolicy(const Transaction& tx,
   // the paper's endorsement policy failure (Eq. 1). The attached set
   // is sealed, so its cached digest is the digest of its content.
   uint64_t attached_digest = tx.rwset.digest();
-  std::set<OrgId> matching_orgs;
+  auto matches = [&](const Endorsement& e) {
+    return e.signature_valid && e.rwset_digest == attached_digest;
+  };
+  uint64_t matching_mask = 0;
   for (const Endorsement& e : tx.endorsements) {
-    if (e.signature_valid && e.rwset_digest == attached_digest) {
-      matching_orgs.insert(e.org_id);
+    if (!matches(e)) continue;
+    if (e.org_id < 0 || e.org_id >= 64) {
+      // Beyond the bitmask: evaluate over a set instead.
+      std::set<OrgId> matching_orgs;
+      for (const Endorsement& m : tx.endorsements) {
+        if (matches(m)) matching_orgs.insert(m.org_id);
+      }
+      return policy.Evaluate(matching_orgs);
     }
+    matching_mask |= uint64_t{1} << e.org_id;
   }
-  return policy.Evaluate(matching_orgs);
+  return policy.EvaluateOrgMask(matching_mask);
 }
 
 bool Validator::CheckVscc(const Transaction& tx) const {

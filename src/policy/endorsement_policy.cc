@@ -1,6 +1,7 @@
 #include "src/policy/endorsement_policy.h"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "src/common/strings.h"
@@ -20,11 +21,49 @@ EndorsementPolicy EndorsementPolicy::NOutOf(
   p.kind_ = Kind::kNOutOf;
   p.n_ = n;
   p.subs_ = std::move(subs);
+  p.BuildPlan();
   return p;
+}
+
+uint64_t EndorsementPolicy::RotationPeriod(uint64_t period) const {
+  if (kind_ == Kind::kNOutOf && !subs_.empty()) {
+    period = std::lcm(period, static_cast<uint64_t>(subs_.size()));
+    if (period > kMaxPlanPeriod) return 0;
+  }
+  for (const EndorsementPolicy& sub : subs_) {
+    period = sub.RotationPeriod(period);
+    if (period == 0) return 0;
+  }
+  return period;
+}
+
+void EndorsementPolicy::BuildPlan() {
+  uint64_t period = RotationPeriod(1);
+  if (period == 0) return;  // oversized: ChooseSatisfyingOrgs per call
+  auto plan = std::make_shared<std::vector<std::vector<OrgId>>>(period);
+  for (uint64_t rotation = 0; rotation < period; ++rotation) {
+    std::vector<OrgId>& orgs = (*plan)[rotation];
+    AppendSatisfyingOrgs(rotation, &orgs);
+    std::sort(orgs.begin(), orgs.end());
+    orgs.erase(std::unique(orgs.begin(), orgs.end()), orgs.end());
+  }
+  plan_ = std::move(plan);
 }
 
 bool EndorsementPolicy::Evaluate(const std::set<OrgId>& signer_orgs) const {
   return EvaluateNode(signer_orgs);
+}
+
+bool EndorsementPolicy::EvaluateOrgMask(uint64_t signer_mask) const {
+  if (kind_ == Kind::kSignedBy) {
+    return org_ >= 0 && org_ < 64 && ((signer_mask >> org_) & 1) != 0;
+  }
+  int satisfied = 0;
+  for (const EndorsementPolicy& sub : subs_) {
+    if (sub.EvaluateOrgMask(signer_mask)) ++satisfied;
+    if (satisfied >= n_) return true;
+  }
+  return satisfied >= n_;
 }
 
 bool EndorsementPolicy::EvaluateNode(
@@ -115,31 +154,33 @@ SimTime EndorsementPolicy::VsccCost(size_t endorsement_count) const {
 
 std::set<OrgId> EndorsementPolicy::ChooseSatisfyingOrgs(
     uint64_t rotation) const {
-  std::set<OrgId> chosen;
+  std::vector<OrgId> orgs;
+  AppendSatisfyingOrgs(rotation, &orgs);
+  return std::set<OrgId>(orgs.begin(), orgs.end());
+}
+
+void EndorsementPolicy::AppendSatisfyingOrgs(uint64_t rotation,
+                                             std::vector<OrgId>* out) const {
   if (kind_ == Kind::kSignedBy) {
-    chosen.insert(org_);
-    return chosen;
+    out->push_back(org_);
+    return;
   }
   // Order sub-policies by signature cost, rotating among ties so that
-  // repeated calls spread over equivalent choices.
-  std::vector<size_t> order(subs_.size());
-  for (size_t i = 0; i < subs_.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    int ca = subs_[a].MinSignatures();
-    int cb = subs_[b].MinSignatures();
-    if (ca != cb) return ca < cb;
-    size_t ra = (a + rotation) % subs_.size();
-    size_t rb = (b + rotation) % subs_.size();
-    return ra < rb;
+  // repeated calls spread over equivalent choices. The rotated index
+  // is a permutation, so no two keys tie and the order is total.
+  const size_t n = subs_.size();
+  std::vector<std::pair<int, size_t>> order(n);  // (cost, index)
+  for (size_t i = 0; i < n; ++i) order[i] = {subs_[i].MinSignatures(), i};
+  std::sort(order.begin(), order.end(), [&](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return (a.second + rotation) % n < (b.second + rotation) % n;
   });
   int needed = n_;
-  for (size_t idx : order) {
+  for (const auto& [cost, idx] : order) {
     if (needed == 0) break;
-    std::set<OrgId> sub = subs_[idx].ChooseSatisfyingOrgs(rotation);
-    chosen.insert(sub.begin(), sub.end());
+    subs_[idx].AppendSatisfyingOrgs(rotation, out);
     --needed;
   }
-  return chosen;
 }
 
 }  // namespace fabricsim

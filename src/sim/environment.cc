@@ -7,7 +7,7 @@ namespace fabricsim {
 Environment::Environment(uint64_t seed, ExecutionConfig)
     : rng_(seed, /*stream=*/1) {}
 
-void Environment::Schedule(SimTime when, std::function<void()> action,
+void Environment::Schedule(SimTime when, EventFn action,
                            ScheduleOpts opts) {
   SimTime time = opts.absolute ? when : now_ + when;
   if (time < now_) time = now_;

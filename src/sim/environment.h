@@ -2,7 +2,6 @@
 #define FABRICSIM_SIM_ENVIRONMENT_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
@@ -41,7 +40,7 @@ class Environment {
   /// Schedules `action` at `when`: a delay (>= 0) from now() by
   /// default, or an absolute time with opts.absolute. This is the
   /// single scheduling surface every actor goes through.
-  void Schedule(SimTime when, std::function<void()> action,
+  void Schedule(SimTime when, EventFn action,
                 ScheduleOpts opts = ScheduleOpts());
 
   /// Runs events until the queue drains or the clock passes `until`.

@@ -2,35 +2,39 @@
 #define FABRICSIM_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/common/sim_time.h"
+#include "src/sim/inline_fn.h"
 
 namespace fabricsim {
 
-/// A single scheduled callback. Events with equal timestamps fire in
-/// insertion order (FIFO tie-break via sequence number) so simulations
-/// are fully deterministic. Daemon events (perpetual control-plane
-/// timers like Raft heartbeats and election timeouts) fire like any
-/// other event while real work remains, but do not keep the
-/// simulation alive on their own — the DES analogue of daemon threads.
+/// The callable type of every scheduled event.
+using EventFn = InlineFn<void()>;
+
+/// A single scheduled callback, as EventQueue::Pop hands it out. Events
+/// with equal timestamps fire in insertion order (FIFO tie-break via
+/// sequence number) so simulations are fully deterministic. Daemon
+/// events (perpetual control-plane timers like Raft heartbeats and
+/// election timeouts) fire like any other event while real work
+/// remains, but do not keep the simulation alive on their own — the DES
+/// analogue of daemon threads.
 struct Event {
-  SimTime time;
-  uint64_t seq;
-  std::function<void()> action;
+  SimTime time = 0;
+  EventFn action;
   bool daemon = false;
 };
 
-/// Min-heap of events ordered by (time, seq). Implemented directly on
-/// a reserved std::vector (rather than std::priority_queue) so the
-/// hot Push/Pop path can pre-size the storage and move events out of
-/// the heap without const_cast tricks — every simulated message is a
-/// Push+Pop, so std::function copies here dominate the DES overhead.
+/// Min-heap of events ordered by (time, seq). The heap holds only small
+/// (time, seq, slot) keys; each callable sits in a slot of a free-listed
+/// slab and never moves while it waits, so a heap sift moves 24 bytes,
+/// not a callable. Pop moves the callable out of its slot and frees the
+/// slot before the caller runs it, because the action may schedule
+/// again and reuse (or, by growing the slab, relocate) that slot.
 class EventQueue {
  public:
   /// Schedules `action` at absolute simulated time `time`.
-  void Push(SimTime time, std::function<void()> action, bool daemon = false);
+  void Push(SimTime time, EventFn&& action, bool daemon = false);
 
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
@@ -46,16 +50,27 @@ class EventQueue {
   Event Pop();
 
  private:
-  struct Compare {
-    // push_heap/pop_heap build a max-heap, so "greater" keeps the
-    // earliest (time, seq) at the front — identical ordering to the
-    // previous std::priority_queue.
-    bool operator()(const Event& a, const Event& b) const {
+  struct Key {
+    SimTime time;
+    uint64_t seq;
+    uint32_t slot;
+    bool daemon;
+  };
+  struct Later {
+    // push_heap/pop_heap build a max-heap, so "later" keeps the
+    // earliest (time, seq) at the front. seq is unique, so the order
+    // is total and the slot never decides it.
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
-  std::vector<Event> heap_;
+
+  std::vector<Key> heap_;
+  /// Callables by slot; a slot is live while its key is in heap_.
+  std::vector<EventFn> slab_;
+  /// Slots of slab_ free for reuse, most recently freed last.
+  std::vector<uint32_t> free_slots_;
   uint64_t next_seq_ = 0;
   size_t real_events_ = 0;
 };

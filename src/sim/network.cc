@@ -50,7 +50,7 @@ bool Network::ShouldDrop(NodeId from, NodeId to, SimTime now) {
 }
 
 void Network::Send(Environment& env, NodeId from, NodeId to, uint64_t bytes,
-                   std::function<void()> deliver) {
+                   EventFn deliver) {
   ++messages_sent_;
   bytes_sent_ += bytes;
   if (!link_faults_.empty() && ShouldDrop(from, to, env.now())) {

@@ -2,7 +2,6 @@
 #define FABRICSIM_SIM_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -88,7 +87,7 @@ class Network {
   /// Schedules `deliver` after the sampled network delay, unless an
   /// active link fault drops the message (then `deliver` never runs).
   void Send(Environment& env, NodeId from, NodeId to, uint64_t bytes,
-            std::function<void()> deliver);
+            EventFn deliver);
 
   uint64_t messages_sent() const { return messages_sent_; }
   uint64_t bytes_sent() const { return bytes_sent_; }

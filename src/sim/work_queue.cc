@@ -4,8 +4,8 @@
 
 namespace fabricsim {
 
-void WorkQueue::Submit(Environment& env, std::function<SimTime()> at_start,
-                       std::function<void()> at_end) {
+void WorkQueue::Submit(Environment& env, InlineFn<SimTime()> at_start,
+                       EventFn at_end) {
   pending_.push_back(Task{env.now(), std::move(at_start), std::move(at_end)});
   if (!busy_) StartNext(env);
 }
@@ -18,16 +18,21 @@ void WorkQueue::StartNext(Environment& env) {
   busy_ = true;
   Task task = std::move(pending_.front());
   pending_.pop_front();
+  in_service_end_ = std::move(task.at_end);
   queue_delay_stats_.Add(ToMillis(env.now() - task.submitted));
   SimTime service = 0;
   if (task.at_start) service = task.at_start();
   if (service < 0) service = 0;
   total_service_ += service;
-  env.Schedule(service, [this, &env, at_end = std::move(task.at_end)]() {
-    ++tasks_completed_;
-    if (at_end) at_end();
-    StartNext(env);
-  });
+  env.Schedule(service, [this, &env]() { Finish(env); });
+}
+
+void WorkQueue::Finish(Environment& env) {
+  ++tasks_completed_;
+  // Moved out first: at_end may submit to this queue.
+  EventFn at_end = std::move(in_service_end_);
+  if (at_end) at_end();
+  StartNext(env);
 }
 
 }  // namespace fabricsim

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 
 #include "src/common/sim_time.h"
@@ -24,14 +23,15 @@ namespace fabricsim {
 ///    executes a chaincode against the replica as of that moment) and
 ///    returns the service time the work costs.
 ///  * `at_end` runs when the service time has elapsed (commit point).
+///    While its task is in service it waits in the queue's own slot,
+///    so the completion event captures only the queue.
 class WorkQueue {
  public:
   explicit WorkQueue(std::string name = "work") : name_(std::move(name)) {}
 
   /// Enqueues a task. See class comment for phase semantics. Either
   /// callback may be empty.
-  void Submit(Environment& env, std::function<SimTime()> at_start,
-              std::function<void()> at_end);
+  void Submit(Environment& env, InlineFn<SimTime()> at_start, EventFn at_end);
 
   /// Number of tasks waiting or in service.
   size_t depth() const { return pending_.size() + (busy_ ? 1 : 0); }
@@ -51,14 +51,18 @@ class WorkQueue {
  private:
   struct Task {
     SimTime submitted;
-    std::function<SimTime()> at_start;
-    std::function<void()> at_end;
+    InlineFn<SimTime()> at_start;
+    EventFn at_end;
   };
 
   void StartNext(Environment& env);
+  /// The completion event of the task in service.
+  void Finish(Environment& env);
 
   std::string name_;
   std::deque<Task> pending_;
+  /// at_end of the task in service.
+  EventFn in_service_end_;
   bool busy_ = false;
   SimTime total_service_ = 0;
   uint64_t tasks_completed_ = 0;

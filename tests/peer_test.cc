@@ -74,7 +74,8 @@ TEST_F(PeerTest, EndorsesAgainstBootstrappedState) {
   ProposalResponse got;
   ProposalRequest request;
   request.tx_id = 42;
-  request.invocation = Invocation{"readKeys", {GenChaincode::Key(3)}};
+  request.invocation = std::make_shared<const Invocation>(
+      Invocation{"readKeys", {GenChaincode::Key(3)}});
   request.reply = [&](const ProposalResponse& r) { got = r; };
   peer.HandleProposal(std::move(request));
   env_->RunAll();
@@ -93,7 +94,8 @@ TEST_F(PeerTest, EndorsementTakesDbAndSigningTime) {
   ASSERT_TRUE(Bootstrap().ok());
   SimTime completion = -1;
   ProposalRequest request;
-  request.invocation = Invocation{"readKeys", {GenChaincode::Key(0)}};
+  request.invocation = std::make_shared<const Invocation>(
+      Invocation{"readKeys", {GenChaincode::Key(0)}});
   request.reply = [&](const ProposalResponse&) { completion = env_->now(); };
   peer.HandleProposal(std::move(request));
   env_->RunAll();

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
+#include "src/peer/validator.h"
 #include "src/policy/endorsement_policy.h"
 #include "src/policy/policy_parser.h"
 #include "src/policy/policy_presets.h"
@@ -184,6 +188,101 @@ TEST(PolicyTest, ChooseSatisfyingOrgsRotates) {
     distinct.insert(p1.ChooseSatisfyingOrgs(rotation));
   }
   EXPECT_GT(distinct.size(), 1u);
+}
+
+TEST(PolicyPlanTest, PlanMatchesChooseSatisfyingOrgsOverThreePeriods) {
+  for (int orgs : {2, 4, 8, 32}) {
+    for (PolicyPreset preset :
+         {PolicyPreset::kP0AllOrgs, PolicyPreset::kP1OrgZeroPlusAny,
+          PolicyPreset::kP2OneFromEachHalf, PolicyPreset::kP3Quorum}) {
+      SCOPED_TRACE(std::string(PolicyPresetToString(preset)) + " at " +
+                   std::to_string(orgs) + " orgs");
+      EndorsementPolicy policy = MakePolicy(preset, orgs);
+      const uint64_t period = policy.plan_period();
+      ASSERT_GT(period, 0u);
+      for (uint64_t rotation = 0; rotation < 3 * period; ++rotation) {
+        const std::vector<OrgId>* plan = policy.SatisfyingOrgPlan(rotation);
+        ASSERT_NE(plan, nullptr);
+        std::set<OrgId> chosen = policy.ChooseSatisfyingOrgs(rotation);
+        ASSERT_EQ(*plan, std::vector<OrgId>(chosen.begin(), chosen.end()))
+            << "rotation " << rotation;
+      }
+    }
+  }
+  // The period is the lcm of the n-out-of fan-outs: P1 at 8 orgs is
+  // 2-of[Org0, 1-of[7 orgs]].
+  EXPECT_EQ(MakePolicy(PolicyPreset::kP1OrgZeroPlusAny, 8).plan_period(),
+            std::lcm(2u, 7u));
+}
+
+TEST(PolicyPlanTest, OversizedPeriodHasNoPlan) {
+  // lcm(3, 61, 67, 71) is far above kMaxPlanPeriod.
+  auto any_of = [](OrgId first, int count) {
+    std::vector<EndorsementPolicy> leaves;
+    for (int i = 0; i < count; ++i) {
+      leaves.push_back(EndorsementPolicy::SignedBy(first + i));
+    }
+    return EndorsementPolicy::NOutOf(1, std::move(leaves));
+  };
+  EndorsementPolicy policy = EndorsementPolicy::NOutOf(
+      2, {any_of(0, 61), any_of(61, 67), any_of(128, 71)});
+  EXPECT_EQ(policy.plan_period(), 0u);
+  EXPECT_EQ(policy.SatisfyingOrgPlan(5), nullptr);
+  EXPECT_EQ(EndorsementPolicy().SatisfyingOrgPlan(0), nullptr);
+  // ChooseSatisfyingOrgs still answers for it.
+  EXPECT_TRUE(policy.Evaluate(policy.ChooseSatisfyingOrgs(5)));
+}
+
+TEST(PolicyPlanTest, OrgMaskEvaluationMatchesSetEvaluation) {
+  std::vector<std::pair<std::string, EndorsementPolicy>> policies;
+  for (int orgs : {2, 4, 8, 10}) {
+    for (PolicyPreset preset :
+         {PolicyPreset::kP0AllOrgs, PolicyPreset::kP1OrgZeroPlusAny,
+          PolicyPreset::kP2OneFromEachHalf, PolicyPreset::kP3Quorum}) {
+      policies.emplace_back(PolicyPresetToString(preset) + std::string("/") +
+                                std::to_string(orgs),
+                            MakePolicy(preset, orgs));
+    }
+  }
+  for (const char* text :
+       {"2-of[1-of[Org0,Org9],2-of[Org1,Org2,Org3],1-of[2-of[Org4,Org5],"
+        "Org6]]",
+        "3-of[Org7,Org8,1-of[Org0,Org1],2-of[Org2,Org3,Org4]]"}) {
+    Result<EndorsementPolicy> parsed = PolicyParser::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    policies.emplace_back(text, parsed.value());
+  }
+  for (const auto& [name, policy] : policies) {
+    SCOPED_TRACE(name);
+    for (uint64_t mask = 0; mask < (1u << 10); ++mask) {
+      std::set<OrgId> signers;
+      for (OrgId org = 0; org < 10; ++org) {
+        if ((mask >> org) & 1) signers.insert(org);
+      }
+      ASSERT_EQ(policy.EvaluateOrgMask(mask), policy.Evaluate(signers))
+          << "mask " << mask;
+    }
+  }
+}
+
+TEST(PolicyPlanTest, VsccTakesTheSetPathForOrgIdsFrom64) {
+  EndorsementPolicy policy = EndorsementPolicy::NOutOf(
+      2, {EndorsementPolicy::SignedBy(3), EndorsementPolicy::SignedBy(70)});
+  Transaction tx;
+  tx.rwset = SealedRwSet(ReadWriteSet{});
+  const uint64_t digest = tx.rwset.digest();
+  tx.endorsements = {Endorsement{0, 3, digest, true}};
+  EXPECT_FALSE(EndorsementSatisfiesPolicy(tx, policy));
+  // Org70 does not fit the bitmask; the set evaluation counts it.
+  tx.endorsements.push_back(Endorsement{1, 70, digest, true});
+  EXPECT_TRUE(EndorsementSatisfiesPolicy(tx, policy));
+  // A mismatching digest from Org70 does not.
+  tx.endorsements.back().rwset_digest = digest + 1;
+  EXPECT_FALSE(EndorsementSatisfiesPolicy(tx, policy));
+  // An invalid signature from an org below 64 never counts either.
+  tx.endorsements = {Endorsement{0, 3, digest, false},
+                     Endorsement{1, 70, digest, true}};
+  EXPECT_FALSE(EndorsementSatisfiesPolicy(tx, policy));
 }
 
 TEST(PolicyPresetsTest, Names) {

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
+#include <queue>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/environment.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/network.h"
 #include "src/sim/work_queue.h"
 
@@ -38,6 +44,133 @@ TEST(EventQueueTest, PeekTime) {
   q.Push(42, [] {});
   EXPECT_EQ(q.PeekTime(), 42);
   EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueueTest, MatchesReferenceQueueUnderSeededChurn) {
+  // 1e5 interleaved pushes and pops over a narrow time range (so most
+  // times tie and the FIFO tie-break decides), half of them daemon,
+  // against a reference std::priority_queue of (time, seq) keys. Slots
+  // freed by pops are reused by later pushes throughout.
+  using Ref = std::tuple<SimTime, uint64_t, bool>;  // time, seq, daemon
+  std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref;
+  EventQueue q;
+  Rng rng(2024);
+  uint64_t next_seq = 0;
+  size_t ref_real = 0;
+  uint64_t fired_seq = 0;
+  for (int op = 0; op < 100000; ++op) {
+    if (ref.empty() || rng.UniformU64(100) < 55) {
+      SimTime time = static_cast<SimTime>(rng.UniformU64(64));
+      bool daemon = rng.Bernoulli(0.5);
+      uint64_t seq = next_seq++;
+      q.Push(time, [&fired_seq, seq] { fired_seq = seq; }, daemon);
+      ref.emplace(time, seq, daemon);
+      if (!daemon) ++ref_real;
+    } else {
+      auto [time, seq, daemon] = ref.top();
+      ref.pop();
+      if (!daemon) --ref_real;
+      ASSERT_EQ(q.PeekTime(), time);
+      Event ev = q.Pop();
+      ASSERT_EQ(ev.time, time);
+      ASSERT_EQ(ev.daemon, daemon);
+      ev.action();
+      ASSERT_EQ(fired_seq, seq);
+    }
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.has_real_events(), ref_real > 0);
+  }
+  while (!ref.empty()) {
+    ASSERT_EQ(std::get<1>(ref.top()), (q.Pop().action(), fired_seq));
+    ref.pop();
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.has_real_events());
+}
+
+TEST(EventQueueTest, ActionMayReuseItsOwnSlot) {
+  // The running action's slot is free while it runs: the first event it
+  // schedules takes that slot, and the rest grow the slab. Its own
+  // captures must stay intact throughout (ASan would flag a callable
+  // run in place from a slab that moved).
+  Environment env(1);
+  auto token = std::make_shared<std::string>("still here");
+  std::vector<std::string> seen;
+  env.Schedule(10, [&env, &seen, token] {
+    for (int i = 0; i < 5000; ++i) {
+      env.Schedule(i % 7, [&seen, i] {
+        if (i == 4999) seen.push_back("last");
+      });
+    }
+    seen.push_back(*token);
+  });
+  env.RunAll();
+  EXPECT_EQ(seen, (std::vector<std::string>{"still here", "last"}));
+  EXPECT_EQ(env.events_executed(), 5001u);
+  EXPECT_EQ(token.use_count(), 1);  // the action's capture was released
+}
+
+// --------------------------------------------------------- InlineFn
+
+TEST(InlineFnTest, MoveOnlyCaptureRunsAndIsDestroyedOnce) {
+  auto witness = std::make_shared<int>(7);
+  {
+    auto owned = std::make_unique<std::shared_ptr<int>>(witness);
+    InlineFn<int()> fn = [owned = std::move(owned)] { return **owned + 1; };
+    static_assert(InlineFn<int()>::FitsInline<
+                  decltype([o = std::unique_ptr<int>()] { return 0; })>());
+    EXPECT_EQ(witness.use_count(), 2);
+    InlineFn<int()> moved = std::move(fn);
+    EXPECT_FALSE(fn);  // NOLINT: moved-from is empty
+    EXPECT_EQ(moved(), 8);
+    EXPECT_EQ(witness.use_count(), 2);
+  }
+  EXPECT_EQ(witness.use_count(), 1);
+}
+
+TEST(InlineFnTest, OversizedCaptureFallsBackToTheHeap) {
+  struct Big {
+    char pad[InlineFn<void()>::kInlineBytes + 1] = {};
+  };
+  auto witness = std::make_shared<int>(0);
+  {
+    Big big;
+    big.pad[0] = 3;
+    auto lambda = [big, witness] { *witness += big.pad[0]; };
+    static_assert(!InlineFn<void()>::FitsInline<decltype(lambda)>());
+    InlineFn<void()> fn = std::move(lambda);
+    EXPECT_EQ(witness.use_count(), 2);  // `witness` and the boxed copy
+    InlineFn<void()> moved;
+    moved = std::move(fn);  // moves the box, not the capture
+    EXPECT_EQ(witness.use_count(), 2);
+    moved();
+    EXPECT_EQ(*witness, 3);
+  }
+  EXPECT_EQ(witness.use_count(), 1);
+}
+
+TEST(InlineFnTest, EmptyAndReassigned) {
+  InlineFn<void()> empty;
+  EXPECT_FALSE(empty);
+  InlineFn<void()> from_null = nullptr;
+  EXPECT_FALSE(from_null);
+  InlineFn<void()> from_empty_function = std::function<void()>();
+  EXPECT_FALSE(from_empty_function);
+
+  auto first = std::make_shared<int>(1);
+  auto second = std::make_shared<int>(2);
+  InlineFn<int()> fn = [first] { return *first; };
+  EXPECT_TRUE(fn);
+  EXPECT_EQ(fn(), 1);
+  fn = [second] { return *second; };  // destroys the first capture
+  EXPECT_EQ(first.use_count(), 1);
+  EXPECT_EQ(fn(), 2);
+  fn = nullptr;
+  EXPECT_FALSE(fn);
+  EXPECT_EQ(second.use_count(), 1);
+  // Moving an empty wrapper leaves both empty.
+  InlineFn<int()> other = std::move(fn);
+  EXPECT_FALSE(other);
 }
 
 // ----------------------------------------------------- Environment
@@ -169,6 +302,34 @@ TEST(WorkQueueTest, QueueDelayTracked) {
   env.RunAll();
   // Second task waited 1 ms behind the first.
   EXPECT_NEAR(q.queue_delay_stats().max(), 1.0, 1e-9);
+}
+
+TEST(WorkQueueTest, AtEndMaySubmitAgain) {
+  // Every at_end resubmits once while a backlog waits: the queue holds
+  // the in-service at_end in its own slot, and tasks still start in
+  // submission order.
+  Environment env(1);
+  WorkQueue q("test");
+  std::vector<int> started;
+  std::function<void(int)> submit = [&](int id) {
+    q.Submit(
+        env,
+        [&started, id] {
+          started.push_back(id);
+          return SimTime{1};
+        },
+        [&submit, id] {
+          if (id < 100) submit(id + 100);
+        });
+  };
+  for (int i = 0; i < 20; ++i) submit(i);
+  env.RunAll();
+  std::vector<int> expected;
+  for (int i = 0; i < 20; ++i) expected.push_back(i);
+  for (int i = 0; i < 20; ++i) expected.push_back(i + 100);
+  EXPECT_EQ(started, expected);
+  EXPECT_EQ(q.tasks_completed(), 40u);
+  EXPECT_EQ(q.depth(), 0u);
 }
 
 TEST(WorkQueueTest, DepthReflectsBacklog) {

@@ -271,6 +271,35 @@ TEST_F(TpccContractTest, AbsentStockRowReadsAsZeros) {
   EXPECT_EQ(*stock, (tpcc::StockRow{88, 3, 1}.Encode()));
 }
 
+TEST_F(TpccContractTest, PaymentAmountOverflowIsRefused) {
+  const Invocation payment{"Payment", {"0", "0", "0", "9223372036854775807"}};
+  ChaincodeStub first(db_, true);
+  ASSERT_TRUE(cc_.Invoke(first, payment).ok());
+  Commit(first, {1, 0});
+  // The district's ytd already holds LLONG_MAX: a second payment would
+  // overflow it (and the customer's ytd_payment).
+  ChaincodeStub second(db_, true);
+  Status status = cc_.Invoke(second, payment);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("Payment: amount"), std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(second.rwset().writes.empty());
+}
+
+TEST_F(TpccContractTest, NewOrderQuantityOverflowIsRefused) {
+  // A stock row whose ytd is one order of INT_MAX away from LLONG_MAX.
+  db_.ApplyWrite(WriteItem{tpcc::StockKey(0, 4),
+                           tpcc::StockRow{100, LLONG_MAX - 10, 0}.Encode(),
+                           false},
+                 {1, 0});
+  ChaincodeStub stub(db_, true);
+  Status status =
+      cc_.Invoke(stub, MakeNewOrder(0, 0, 0, {{1, 1}, {4, 2147483647}}));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("NewOrder: quantity 1"), std::string::npos)
+      << status.ToString();
+}
+
 // ------------------------------------------------------------ row codec
 
 // The encoders the typed rows replaced, kept as the reference: every
