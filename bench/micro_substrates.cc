@@ -137,11 +137,14 @@ void BM_EventQueueChurnActorCapture(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueChurnActorCapture)->Arg(1);
 
-// One serial server: submit a backlog, then drain it, each task's
-// completion capturing the same ~40 B as above.
+// One serial server: 1000 tasks submitted in waves of range(0), each
+// wave drained before the next, each task's completion capturing the
+// same ~40 B as above. The fsbench workloads' queues stay at most 16
+// deep; the 1000-deep wave is the worst case for a task's size.
 void BM_WorkQueueSubmitAndComplete(benchmark::State& state) {
+  const uint64_t wave = static_cast<uint64_t>(state.range(0));
   uint64_t done = 0;
-  auto payload = std::make_shared<uint64_t>(state.range(0));
+  auto payload = std::make_shared<uint64_t>(1);
   for (auto _ : state) {
     Environment env(1);
     WorkQueue queue("bench");
@@ -150,13 +153,14 @@ void BM_WorkQueueSubmitAndComplete(benchmark::State& state) {
       queue.Submit(
           env, [i] { return static_cast<SimTime>(i % 5); },
           [done = &done, payload, i, tx] { *done += *payload + i + tx; });
+      if ((i + 1) % wave == 0) env.RunAll();
     }
     env.RunAll();
     benchmark::DoNotOptimize(done);
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_WorkQueueSubmitAndComplete)->Arg(1);
+BENCHMARK(BM_WorkQueueSubmitAndComplete)->Arg(8)->Arg(1000);
 
 }  // namespace
 }  // namespace fabricsim

@@ -5,7 +5,7 @@
 namespace fabricsim {
 
 void ChannelWorkPool::Submit(Environment& env, ChannelId channel,
-                             InlineFn<SimTime()> at_start, EventFn at_end) {
+                             TaskFn<SimTime> at_start, TaskFn<void> at_end) {
   EnsureChannel(channel);
   pending_.push_back(
       Task{env.now(), channel, std::move(at_start), std::move(at_end)});
@@ -44,7 +44,7 @@ void ChannelWorkPool::Finish(Environment& env, size_t ch) {
   ++tasks_completed_;
   ++channel_completed_[ch];
   // Moved out first: at_end may submit to this pool.
-  EventFn at_end = std::move(channel_end_[ch]);
+  TaskFn<void> at_end = std::move(channel_end_[ch]);
   if (at_end) at_end();
   channel_busy_[ch] = 0;
   --in_service_;

@@ -10,6 +10,7 @@
 #include "src/common/sim_time.h"
 #include "src/common/stats.h"
 #include "src/sim/environment.h"
+#include "src/sim/work_queue.h"
 
 namespace fabricsim {
 
@@ -43,7 +44,7 @@ class ChannelWorkPool {
 
   /// Enqueues a task for `channel`. Either callback may be empty.
   void Submit(Environment& env, ChannelId channel,
-              InlineFn<SimTime()> at_start, EventFn at_end);
+              TaskFn<SimTime> at_start, TaskFn<void> at_end);
 
   /// Number of tasks waiting or in service.
   size_t depth() const { return pending_.size() + in_service_; }
@@ -76,8 +77,8 @@ class ChannelWorkPool {
   struct Task {
     SimTime submitted;
     ChannelId channel;
-    InlineFn<SimTime()> at_start;
-    EventFn at_end;
+    TaskFn<SimTime> at_start;
+    TaskFn<void> at_end;
   };
 
   /// Starts eligible tasks while workers are free. Called on submit
@@ -98,7 +99,7 @@ class ChannelWorkPool {
   /// Indexed by channel; grown on first use.
   std::vector<char> channel_busy_;
   /// at_end of each channel's task in service.
-  std::vector<EventFn> channel_end_;
+  std::vector<TaskFn<void>> channel_end_;
   std::vector<SimTime> channel_service_;
   std::vector<uint64_t> channel_completed_;
   std::vector<SummaryStats> channel_delay_stats_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <set>
 #include <utility>
 
 #include "src/obs/tracer.h"
@@ -96,16 +95,10 @@ void Client::Submit(TxId tx_id, Invocation invocation, int resubmit_count,
   // One endorsing peer per organization of a minimal policy-
   // satisfying set (service-discovery style), round-robin within the
   // org (flow step 1). For P0 (all orgs) this is every organization.
-  const std::vector<OrgId>* orgs = p_.policy->SatisfyingOrgPlan(round_robin_);
-  std::vector<OrgId> unplanned;
-  if (orgs == nullptr) {
-    std::set<OrgId> chosen = p_.policy->ChooseSatisfyingOrgs(round_robin_);
-    unplanned.assign(chosen.begin(), chosen.end());
-    orgs = &unplanned;
-  }
-  pending.proposed_orgs.reserve(orgs->size());
-  pending.responses.reserve(orgs->size());
-  for (OrgId org : *orgs) {
+  p_.policy->SatisfyingOrgs(round_robin_, &chosen_orgs_);
+  pending.proposed_orgs.reserve(chosen_orgs_.size());
+  pending.responses.reserve(chosen_orgs_.size());
+  for (OrgId org : chosen_orgs_) {
     // A policy may reference orgs beyond the deployed cluster (e.g. a
     // preset instantiated for more orgs than exist); treat them like
     // orgs with no endorsing peers instead of indexing out of bounds.

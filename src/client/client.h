@@ -254,6 +254,9 @@ class Client {
   /// instead of rediscovering the leader.
   std::vector<int> leader_hints_ = std::vector<int>(1, 0);
   uint64_t round_robin_ = 0;
+  /// The policy's org choice for the submission in progress; kept to
+  /// reuse its capacity.
+  std::vector<OrgId> chosen_orgs_;
 };
 
 }  // namespace fabricsim

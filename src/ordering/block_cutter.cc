@@ -7,8 +7,8 @@ namespace fabricsim {
 
 namespace {
 // Capacity a new batch reserves at most. Larger batches regrow from it:
-// reserving a several-hundred-transaction batch up front raised peak
-// RSS through heap fragmentation.
+// reserving a 500-transaction batch up front raised peak RSS through
+// heap fragmentation.
 constexpr size_t kBatchReserve = 128;
 }  // namespace
 
@@ -31,8 +31,10 @@ std::vector<std::vector<Transaction>> BlockCutter::AddTransaction(
   }
 
   if (pending_.empty()) {
-    // A new batch is likely full-sized: size it once instead of
-    // regrowing (and moving every envelope) from empty.
+    // Size a new batch once instead of regrowing it from empty, which
+    // moves every envelope at each doubling. A batch cut by count fills
+    // it when max_count <= 128; one cut early by timeout leaves part of
+    // it unused.
     pending_.reserve(std::min<size_t>(config_.max_count, kBatchReserve));
   }
   pending_.push_back(std::move(tx));

@@ -67,7 +67,7 @@ void Peer::HandleProposal(ProposalRequest request) {
   }
   auto task = std::make_shared<EndorseTask>();
   task->req = std::move(request);
-  InlineFn<SimTime()> at_start = [this, task]() -> SimTime {
+  TaskFn<SimTime> at_start = [this, task]() -> SimTime {
     if (!alive_) return 0;  // crashed while queued: abandon silently
     task->simulation = Simulate(task->req);
     return EndorseServiceTime(*task->simulation);

@@ -1,7 +1,6 @@
 #include "src/policy/endorsement_policy.h"
 
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include "src/common/strings.h"
@@ -21,62 +20,28 @@ EndorsementPolicy EndorsementPolicy::NOutOf(
   p.kind_ = Kind::kNOutOf;
   p.n_ = n;
   p.subs_ = std::move(subs);
-  p.BuildPlan();
   return p;
 }
 
-uint64_t EndorsementPolicy::RotationPeriod(uint64_t period) const {
-  if (kind_ == Kind::kNOutOf && !subs_.empty()) {
-    period = std::lcm(period, static_cast<uint64_t>(subs_.size()));
-    if (period > kMaxPlanPeriod) return 0;
-  }
+template <typename HasSigned>
+bool EndorsementPolicy::EvaluateWith(const HasSigned& has_signed) const {
+  if (kind_ == Kind::kSignedBy) return has_signed(org_);
+  int satisfied = 0;
   for (const EndorsementPolicy& sub : subs_) {
-    period = sub.RotationPeriod(period);
-    if (period == 0) return 0;
+    if (sub.EvaluateWith(has_signed)) ++satisfied;
+    if (satisfied >= n_) return true;
   }
-  return period;
-}
-
-void EndorsementPolicy::BuildPlan() {
-  uint64_t period = RotationPeriod(1);
-  if (period == 0) return;  // oversized: ChooseSatisfyingOrgs per call
-  auto plan = std::make_shared<std::vector<std::vector<OrgId>>>(period);
-  for (uint64_t rotation = 0; rotation < period; ++rotation) {
-    std::vector<OrgId>& orgs = (*plan)[rotation];
-    AppendSatisfyingOrgs(rotation, &orgs);
-    std::sort(orgs.begin(), orgs.end());
-    orgs.erase(std::unique(orgs.begin(), orgs.end()), orgs.end());
-  }
-  plan_ = std::move(plan);
+  return satisfied >= n_;
 }
 
 bool EndorsementPolicy::Evaluate(const std::set<OrgId>& signer_orgs) const {
-  return EvaluateNode(signer_orgs);
+  return EvaluateWith([&](OrgId org) { return signer_orgs.count(org) > 0; });
 }
 
 bool EndorsementPolicy::EvaluateOrgMask(uint64_t signer_mask) const {
-  if (kind_ == Kind::kSignedBy) {
-    return org_ >= 0 && org_ < 64 && ((signer_mask >> org_) & 1) != 0;
-  }
-  int satisfied = 0;
-  for (const EndorsementPolicy& sub : subs_) {
-    if (sub.EvaluateOrgMask(signer_mask)) ++satisfied;
-    if (satisfied >= n_) return true;
-  }
-  return satisfied >= n_;
-}
-
-bool EndorsementPolicy::EvaluateNode(
-    const std::set<OrgId>& signer_orgs) const {
-  if (kind_ == Kind::kSignedBy) {
-    return signer_orgs.count(org_) > 0;
-  }
-  int satisfied = 0;
-  for (const EndorsementPolicy& sub : subs_) {
-    if (sub.EvaluateNode(signer_orgs)) ++satisfied;
-    if (satisfied >= n_) return true;
-  }
-  return satisfied >= n_;
+  return EvaluateWith([signer_mask](OrgId org) {
+    return org >= 0 && org < 64 && ((signer_mask >> org) & 1) != 0;
+  });
 }
 
 std::set<OrgId> EndorsementPolicy::MentionedOrgs() const {
@@ -157,6 +122,14 @@ std::set<OrgId> EndorsementPolicy::ChooseSatisfyingOrgs(
   std::vector<OrgId> orgs;
   AppendSatisfyingOrgs(rotation, &orgs);
   return std::set<OrgId>(orgs.begin(), orgs.end());
+}
+
+void EndorsementPolicy::SatisfyingOrgs(uint64_t rotation,
+                                       std::vector<OrgId>* out) const {
+  out->clear();
+  AppendSatisfyingOrgs(rotation, out);
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
 void EndorsementPolicy::AppendSatisfyingOrgs(uint64_t rotation,

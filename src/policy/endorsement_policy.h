@@ -2,7 +2,6 @@
 #define FABRICSIM_POLICY_ENDORSEMENT_POLICY_H_
 
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -72,23 +71,9 @@ class EndorsementPolicy {
   /// endorsement sets rather than every peer).
   std::set<OrgId> ChooseSatisfyingOrgs(uint64_t rotation) const;
 
-  /// ChooseSatisfyingOrgs(rotation) in ascending order, read from a
-  /// table built when the policy was. The choice depends on the
-  /// rotation only modulo each n-out-of fan-out, so the table holds one
-  /// entry per rotation class (period = lcm of the fan-outs). nullptr
-  /// when the policy has no table: a period above kMaxPlanPeriod, or a
-  /// single-org or default-constructed policy, whose choice is one set
-  /// of one org.
-  const std::vector<OrgId>* SatisfyingOrgPlan(uint64_t rotation) const {
-    if (plan_ == nullptr) return nullptr;
-    return &(*plan_)[rotation % plan_->size()];
-  }
-
-  /// Entries in the plan table (its rotation period); 0 without one.
-  uint64_t plan_period() const { return plan_ == nullptr ? 0 : plan_->size(); }
-
-  /// Largest rotation period that gets a plan table.
-  static constexpr uint64_t kMaxPlanPeriod = 4096;
+  /// ChooseSatisfyingOrgs(rotation) in ascending order, written to
+  /// `out` (cleared first) so a caller can reuse its capacity.
+  void SatisfyingOrgs(uint64_t rotation, std::vector<OrgId>* out) const;
 
  private:
   enum class Kind { kSignedBy, kNOutOf };
@@ -97,19 +82,14 @@ class EndorsementPolicy {
   OrgId org_ = 0;
   int n_ = 0;
   std::vector<EndorsementPolicy> subs_;
-  /// SatisfyingOrgPlan's table, indexed by rotation % period; shared by
-  /// copies of the policy.
-  std::shared_ptr<const std::vector<std::vector<OrgId>>> plan_;
 
-  /// Fills plan_ unless the period exceeds kMaxPlanPeriod.
-  void BuildPlan();
   /// Appends the orgs ChooseSatisfyingOrgs(rotation) picks, unsorted
   /// and possibly repeated.
   void AppendSatisfyingOrgs(uint64_t rotation, std::vector<OrgId>* out) const;
-  /// lcm of the n-out-of fan-outs in this subtree and `period`, or 0
-  /// once it exceeds kMaxPlanPeriod.
-  uint64_t RotationPeriod(uint64_t period) const;
-  bool EvaluateNode(const std::set<OrgId>& signer_orgs) const;
+  /// The policy's verdict when `has_signed(org)` says whether `org`
+  /// produced a matching endorsement.
+  template <typename HasSigned>
+  bool EvaluateWith(const HasSigned& has_signed) const;
   void CollectOrgs(std::set<OrgId>* out) const;
   int CountSubPolicies(bool is_root) const;
 };

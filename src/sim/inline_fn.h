@@ -10,7 +10,7 @@
 
 namespace fabricsim {
 
-template <typename Signature>
+template <typename Signature, size_t InlineBytes = 96>
 class InlineFn;
 
 /// A move-only type-erased callable with an inline buffer: the one
@@ -23,14 +23,17 @@ class InlineFn;
 /// over-aligned callables, and ones that may throw when moved, fall
 /// back to one heap allocation. Move-only captures (unique_ptr, a moved
 /// request) are allowed because the wrapper itself is never copied.
-template <typename R>
-class InlineFn<R()> {
+///
+/// The default buffer of 96 bytes fits every callable the actors
+/// schedule per transaction: the largest are an endorsement reply (the
+/// client plus a ProposalResponse, 96 B) and a proposal (the target
+/// peer plus its ProposalRequest, 80 B). Callables that wait in long
+/// queues and capture less use a smaller buffer (see TaskFn).
+template <typename R, size_t InlineBytes>
+class InlineFn<R(), InlineBytes> {
  public:
-  /// Bytes of capture stored without allocating. Sized so every
-  /// callable the actors schedule per transaction fits: the largest are
-  /// an endorsement reply (the client plus a ProposalResponse, 96 B) and
-  /// a proposal (the target peer plus its ProposalRequest, 80 B).
-  static constexpr size_t kInlineBytes = 96;
+  /// Bytes of capture stored without allocating.
+  static constexpr size_t kInlineBytes = InlineBytes;
 
   /// True when a callable of type F is stored in the inline buffer.
   template <typename F>

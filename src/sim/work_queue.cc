@@ -4,8 +4,8 @@
 
 namespace fabricsim {
 
-void WorkQueue::Submit(Environment& env, InlineFn<SimTime()> at_start,
-                       EventFn at_end) {
+void WorkQueue::Submit(Environment& env, TaskFn<SimTime> at_start,
+                       TaskFn<void> at_end) {
   pending_.push_back(Task{env.now(), std::move(at_start), std::move(at_end)});
   if (!busy_) StartNext(env);
 }
@@ -30,7 +30,7 @@ void WorkQueue::StartNext(Environment& env) {
 void WorkQueue::Finish(Environment& env) {
   ++tasks_completed_;
   // Moved out first: at_end may submit to this queue.
-  EventFn at_end = std::move(in_service_end_);
+  TaskFn<void> at_end = std::move(in_service_end_);
   if (at_end) at_end();
   StartNext(env);
 }

@@ -149,6 +149,28 @@ TEST(InlineFnTest, OversizedCaptureFallsBackToTheHeap) {
   EXPECT_EQ(witness.use_count(), 1);
 }
 
+TEST(InlineFnTest, TaskFnStoresActorSizedCapturesInline) {
+  // The largest task capture: `this` plus two shared_ptrs, 40 bytes.
+  auto witness = std::make_shared<int>(2);
+  int* self = witness.get();
+  auto task = [self, witness, again = witness] { return *self + *again; };
+  static_assert(TaskFn<int>::FitsInline<decltype(task)>());
+  // Beyond the 48-byte buffer a task capture is boxed, and still runs
+  // and is destroyed once.
+  uint64_t pad[2] = {1, 0};
+  auto big = [task, pad] { return task() + static_cast<int>(pad[0]); };
+  static_assert(!TaskFn<int>::FitsInline<decltype(big)>());
+  {
+    TaskFn<int> inline_fn = std::move(task);
+    TaskFn<int> boxed_fn = std::move(big);
+    EXPECT_EQ(witness.use_count(), 5);  // `witness` and two per capture
+    TaskFn<int> moved = std::move(boxed_fn);
+    EXPECT_EQ(inline_fn(), 4);
+    EXPECT_EQ(moved(), 5);
+  }
+  EXPECT_EQ(witness.use_count(), 1);
+}
+
 TEST(InlineFnTest, EmptyAndReassigned) {
   InlineFn<void()> empty;
   EXPECT_FALSE(empty);
